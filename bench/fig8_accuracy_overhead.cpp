@@ -107,7 +107,7 @@ int main() {
     PlainSeconds.push_back(timeWorkload(*W, WorkloadVariant::Original));
     Trace T = traceWorkload(*W, WorkloadVariant::Original);
     MissCounts.push_back(
-        collectL1MissStream(T, paperL1Geometry()).size());
+        collectMisses(T, {.L1 = paperL1Geometry()}).size());
   }
 
   TextTable Table(

@@ -15,17 +15,18 @@
 //
 //  2. jobs/sec of a sampling-period-sweep batch — the paper-style
 //     evaluation matrix — with the shared-trace engine + miss-stream
-//     cache ON (runJobsShared) vs OFF (naive runJobs), verifying along
-//     the way that both paths produce byte-identical artifacts;
+//     cache (runJobsShared) vs a sequential loop over runJob, the
+//     single-job reference, verifying along the way that both produce
+//     byte-identical artifacts;
 //
-//  3. shard-count sweeps of the set-sharded parallel collector
-//     (collectL1MissStreamParallel) and of the merge-elided
-//     aggregate-only collector (collectL1MissAggregates), in two
-//     tiers: the default tier (millions of refs — catches setup-cost
-//     regressions) and, with --large, a steady-state tier of >= 100M
-//     synthetic refs generated procedurally in memory (no giant trace
-//     file is ever materialized) where partition/merge serial
-//     fractions, not warm-up, dominate the measurement. Every sweep
+//  3. shard-count sweeps of the set-sharded collector (collectMisses)
+//     and of its merge-elided aggregate-only twin
+//     (collectMissAggregates), in two tiers: the default tier
+//     (millions of refs — catches setup-cost regressions) and, with
+//     --large, a steady-state tier of >= 100M synthetic refs generated
+//     procedurally in memory (no giant trace file is ever
+//     materialized) where partition/merge serial fractions, not
+//     warm-up, dominate the measurement. Every sweep
 //     point is verified element-identical (ordered collector) or
 //     field-identical (aggregates) to the sequential baseline.
 //
@@ -35,10 +36,8 @@
 //     every deterministic policy) replayed through the sharded
 //     aggregate collector with per-config routing vs a PartitionCache
 //     that routes the trace once and replays it for every
-//     configuration. The tier also A/B-times the count+scatter
-//     router against the fused single-pass router on the same trace
-//     (both must produce identical partitions), and verifies ordered
-//     miss streams are byte-identical cache on vs off.
+//     configuration. The tier also verifies ordered miss streams are
+//     byte-identical cache on vs off.
 //
 // Emits machine-readable BENCH_sim_throughput.json and
 // BENCH_simshard.json (one entry per tier) in the working directory so
@@ -46,12 +45,11 @@
 // identity check fails. `--smoke` shrinks the workloads for CI;
 // `--json` suppresses the human-readable tables (the JSON files are
 // always written); `--refs N` overrides the large tier's trace length;
-// `--fused-router` replays the sweeps through the fused single-pass
-// router instead of the count+scatter default; `--gate` additionally
-// fails the run if the large tier's 2-shard ordered-collector speedup
-// falls below 1.0x — the CI floor that keeps the sharded engine from
-// regressing below sequential again — or the large sweep-reuse tier's
-// route-once speedup falls below 1.5x over per-config routing.
+// `--gate` additionally fails the run if the large tier's 2-shard
+// ordered-collector speedup falls below 1.0x — the CI floor that keeps
+// the sharded engine from regressing below sequential again — or the
+// large sweep-reuse tier's route-once speedup falls below 1.5x over
+// per-config routing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -220,8 +218,7 @@ struct ShardTier {
 /// verifying exactness at every point.
 ShardTier runShardTier(const std::string &Name, size_t NumRefs,
                        const std::vector<unsigned> &ShardCounts) {
-  const CacheGeometry Geometry = paperL1Geometry();
-  const MissStreamOptions Options; // LRU, loads only
+  const MissSpec Spec{.L1 = paperL1Geometry()}; // LRU, loads only
   const Trace T = makeTrace(NumRefs);
 
   ShardTier Tier;
@@ -230,15 +227,13 @@ ShardTier runShardTier(const std::string &Name, size_t NumRefs,
 
   // One warm-up replay (page faults, lazy allocation), then timed
   // sequential baselines for both collectors.
-  collectL1MissStream(T, Geometry, Options);
+  collectMisses(T, Spec);
   Clock::time_point SeqStart = Clock::now();
-  const std::vector<MissEvent> SeqStream =
-      collectL1MissStream(T, Geometry, Options);
+  const std::vector<MissEvent> SeqStream = collectMisses(T, Spec);
   Tier.SeqRate = static_cast<double>(NumRefs) / secondsSince(SeqStart);
 
   Clock::time_point SeqAggStart = Clock::now();
-  const MissStreamAggregates SeqAgg =
-      collectL1MissAggregates(T, Geometry, Options);
+  const MissStreamAggregates SeqAgg = collectMissAggregates(T, Spec);
   Tier.SeqAggRate = static_cast<double>(NumRefs) / secondsSince(SeqAggStart);
 
   Tier.Sweep.push_back({1, 1, Tier.SeqRate, 1.0, Tier.SeqAggRate,
@@ -266,15 +261,13 @@ ShardTier runShardTier(const std::string &Name, size_t NumRefs,
 
     // Warm-up (also primes the shard-cache pool), then the measured
     // runs: ordered collector first, aggregate-only second.
-    collectL1MissStreamParallel(T, Geometry, Options, Ctx);
+    collectMisses(T, Spec, Ctx);
     Clock::time_point Start = Clock::now();
-    const std::vector<MissEvent> Stream =
-        collectL1MissStreamParallel(T, Geometry, Options, Ctx);
+    const std::vector<MissEvent> Stream = collectMisses(T, Spec, Ctx);
     const double StreamSecs = secondsSince(Start);
 
     Clock::time_point AggStart = Clock::now();
-    const MissStreamAggregates Agg =
-        collectL1MissAggregates(T, Geometry, Options, Ctx);
+    const MissStreamAggregates Agg = collectMissAggregates(T, Spec, Ctx);
     const double AggSecs = secondsSince(AggStart);
 
     ShardRow Row;
@@ -295,7 +288,7 @@ ShardTier runShardTier(const std::string &Name, size_t NumRefs,
 
 /// One trace-size tier of the route-once sweep: N configurations
 /// sharing an index geometry replayed with per-config routing vs a
-/// PartitionCache, plus a router A/B on the same trace.
+/// PartitionCache.
 struct SweepReuseTier {
   std::string Name;
   size_t TraceRefs = 0;
@@ -306,8 +299,6 @@ struct SweepReuseTier {
   double Speedup = 1.0;
   uint64_t Builds = 0; ///< Partitions routed in reuse mode (want 1).
   uint64_t Reuses = 0; ///< Route-once cache hits (want N - 1).
-  double RouterCsSecs = 0.0;    ///< Count+scatter routing pass alone.
-  double RouterFusedSecs = 0.0; ///< Fused routing pass alone.
   bool Identical = true;
 };
 
@@ -315,9 +306,8 @@ struct SweepReuseTier {
 /// eight-config sweep through the sharded aggregate collector with
 /// per-config routing, then again through a PartitionCache, and verify
 /// identical aggregates, byte-identical ordered streams cache on vs
-/// off, exact build/hit accounting, and router A/B partition identity.
-SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
-                                 PartitionRouter Router) {
+/// off, and exact build/hit accounting.
+SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs) {
   // Twelve configurations sharing one index geometry (64 sets x 64B
   // lines): four L1-class sizes with matching associativity — the
   // paper's own L1 (32K/8-way, 64 sets) included — x every
@@ -363,7 +353,6 @@ SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
     Ctx.Stats = &Stats;
     Ctx.Shards = SweepShards;
     Ctx.MinRefsToShard = 0;
-    Ctx.Router = Router;
     Ctx.Partitions = Cache;
     Ctx.TraceId = TraceId;
     return Ctx;
@@ -376,11 +365,9 @@ SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
   auto sweepAggregates = [&](const SimContext &Ctx) {
     std::vector<MissStreamAggregates> Out;
     Out.reserve(Configs.size());
-    for (const SweepConfig &C : Configs) {
-      MissStreamOptions Options;
-      Options.Policy = C.Policy;
-      Out.push_back(collectL1MissAggregates(T, C.Geometry, Options, Ctx));
-    }
+    for (const SweepConfig &C : Configs)
+      Out.push_back(collectMissAggregates(
+          T, {.L1 = C.Geometry, .Options = {.Policy = C.Policy}}, Ctx));
     return Out;
   };
 
@@ -389,10 +376,10 @@ SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
   // timed sweeps reuse the same allocator arenas config over config.
   {
     ShardExecStats Warm;
-    MissStreamOptions Options;
-    Options.Policy = Configs.front().Policy;
-    collectL1MissAggregates(T, Configs.front().Geometry, Options,
-                            makeCtx(Warm, nullptr, 0));
+    collectMissAggregates(T,
+                          {.L1 = Configs.front().Geometry,
+                           .Options = {.Policy = Configs.front().Policy}},
+                          makeCtx(Warm, nullptr, 0));
   }
 
   ShardExecStats PerConfigStats;
@@ -425,38 +412,18 @@ SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
     PartitionCache OrderedCache;
     const uint64_t OrderedId = OrderedCache.registerTrace();
     for (size_t I : {size_t{0}, Configs.size() - 1}) {
-      MissStreamOptions Options;
-      Options.Policy = Configs[I].Policy;
+      const MissSpec Spec{.L1 = Configs[I].Geometry,
+                          .Options = {.Policy = Configs[I].Policy}};
       ShardExecStats OffStats, OnStats;
-      const std::vector<MissEvent> Off = collectL1MissStreamParallel(
-          T, Configs[I].Geometry, Options, makeCtx(OffStats, nullptr, 0));
-      const std::vector<MissEvent> On = collectL1MissStreamParallel(
-          T, Configs[I].Geometry, Options,
-          makeCtx(OnStats, &OrderedCache, OrderedId));
+      const std::vector<MissEvent> Off =
+          collectMisses(T, Spec, makeCtx(OffStats, nullptr, 0));
+      const std::vector<MissEvent> On = collectMisses(
+          T, Spec, makeCtx(OnStats, &OrderedCache, OrderedId));
       Tier.Identical = Tier.Identical && Off == On;
     }
     OrderedCache.releaseTrace(OrderedId);
   }
 
-  // Router A/B: the routing pass alone — count+scatter vs fused — on
-  // this tier's trace. Both must produce the identical partition.
-  {
-    const CacheGeometry IndexGeometry = Configs.front().Geometry;
-    const std::vector<SetRange> Plan =
-        planShards(IndexGeometry.numSets(), SweepShards);
-    partitionBySetParallel(T.records(), IndexGeometry, Plan, Pool,
-                           Threads - 1); // warm-up
-    Clock::time_point CsStart = Clock::now();
-    const ShardPartition Cs = partitionBySetParallel(
-        T.records(), IndexGeometry, Plan, Pool, Threads - 1);
-    Tier.RouterCsSecs = secondsSince(CsStart);
-    Clock::time_point FusedStart = Clock::now();
-    const ShardPartition Fused = partitionBySetFused(
-        T.records(), IndexGeometry, Plan, Pool, Threads - 1);
-    Tier.RouterFusedSecs = secondsSince(FusedStart);
-    Tier.Identical = Tier.Identical && Fused.Arena == Cs.Arena &&
-                     Fused.Offsets == Cs.Offsets;
-  }
   return Tier;
 }
 
@@ -467,7 +434,6 @@ int main(int Argc, char **Argv) {
   bool JsonOnly = false;
   bool Large = false;
   bool Gate = false;
-  PartitionRouter Router = PartitionRouter::CountScatter;
   size_t LargeRefs = 100'000'000;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0)
@@ -478,13 +444,11 @@ int main(int Argc, char **Argv) {
       Large = true;
     else if (std::strcmp(Argv[I], "--gate") == 0)
       Gate = true;
-    else if (std::strcmp(Argv[I], "--fused-router") == 0)
-      Router = PartitionRouter::Fused;
     else if (std::strcmp(Argv[I], "--refs") == 0 && I + 1 < Argc)
       LargeRefs = static_cast<size_t>(std::strtoull(Argv[++I], nullptr, 10));
     else {
       std::cerr << "usage: sim_throughput [--smoke] [--json] [--large] "
-                   "[--refs N] [--fused-router] [--gate]\n";
+                   "[--refs N] [--gate]\n";
       return 2;
     }
   }
@@ -537,7 +501,7 @@ int main(int Argc, char **Argv) {
   const double SoaRate = Configs.front().SoaRate;
   const double SoaSpeedup = SoaRate / ScalarRate;
 
-  // --- 2. Shared-trace batch vs naive per-job simulation ----------------
+  // --- 2. Shared-trace batch vs one runJob per job ---------------------
   // The acceptance scenario: one workload swept over >= 4 sampling
   // periods — identical trace and miss stream per job, different
   // samplers. Paper Sec. 5.3 sweeps exactly this axis.
@@ -548,16 +512,24 @@ int main(int Argc, char **Argv) {
                                                  4848};
   std::vector<JobSpec> Jobs = expandMatrix(Matrix);
 
-  runJobs(Jobs, 1); // warm-up: page faults, lazy init
+  auto RunEachJob = [&] {
+    std::vector<JobOutcome> Outcomes;
+    for (const JobSpec &Job : Jobs)
+      Outcomes.push_back(runJob(Job));
+    return Outcomes;
+  };
+  RunEachJob(); // warm-up: page faults, lazy init
 
   Clock::time_point NaiveStart = Clock::now();
-  std::vector<JobOutcome> Naive = runJobs(Jobs, 1);
+  std::vector<JobOutcome> Naive = RunEachJob();
   const double NaiveSecs = secondsSince(NaiveStart);
 
+  BatchExecOptions Sequential;
+  Sequential.SimThreads = 1;
   SharedBatchStats Stats;
   Clock::time_point SharedStart = Clock::now();
   std::vector<JobOutcome> Shared =
-      runJobsShared(Jobs, 1, 0, nullptr, nullptr, &Stats);
+      runJobsShared(Jobs, Sequential, 0, nullptr, nullptr, &Stats);
   const double SharedSecs = secondsSince(SharedStart);
 
   size_t Failed = 0;
@@ -583,7 +555,7 @@ int main(int Argc, char **Argv) {
     NaiveWall << std::fixed << NaiveSecs;
     SharedWall.precision(3);
     SharedWall << std::fixed << SharedSecs;
-    BatchTable.addRow({"naive (miss-stream cache off)",
+    BatchTable.addRow({"runJob per job (no stream cache)",
                        std::to_string(Jobs.size()), NaiveWall.str(),
                        fmtRate(NaiveRate), "1.00x", "-"});
     BatchTable.addRow({"shared-trace (cache on)", std::to_string(Jobs.size()),
@@ -634,10 +606,9 @@ int main(int Argc, char **Argv) {
   // --- 4. Route once, replay many: partition reuse across a sweep -------
   std::vector<SweepReuseTier> ReuseTiers;
   ReuseTiers.push_back(runSweepReuseTier(Smoke ? "smoke" : "standard",
-                                         Smoke ? 400'000 : 8'000'000,
-                                         Router));
+                                         Smoke ? 400'000 : 8'000'000));
   if (Large)
-    ReuseTiers.push_back(runSweepReuseTier("large", LargeRefs, Router));
+    ReuseTiers.push_back(runSweepReuseTier("large", LargeRefs));
   bool ReuseIdentical = true;
   for (const SweepReuseTier &Tier : ReuseTiers)
     ReuseIdentical = ReuseIdentical && Tier.Identical;
@@ -645,32 +616,24 @@ int main(int Argc, char **Argv) {
   if (!JsonOnly) {
     TextTable ReuseTable({"tier", "configs", "per-config (s)",
                           "route-once (s)", "speedup", "routed/reused",
-                          "router cs (s)", "router fused (s)", "exact =="});
+                          "exact =="});
     for (const SweepReuseTier &Tier : ReuseTiers) {
-      std::ostringstream PerConfig, Reuse, Cs, Fused;
+      std::ostringstream PerConfig, Reuse;
       PerConfig.precision(3);
       PerConfig << std::fixed << Tier.PerConfigSecs;
       Reuse.precision(3);
       Reuse << std::fixed << Tier.ReuseSecs;
-      Cs.precision(3);
-      Cs << std::fixed << Tier.RouterCsSecs;
-      Fused.precision(3);
-      Fused << std::fixed << Tier.RouterFusedSecs;
       ReuseTable.addRow({Tier.Name, std::to_string(Tier.NumConfigs),
                          PerConfig.str(), Reuse.str(), fmtX(Tier.Speedup),
                          std::to_string(Tier.Builds) + "/" +
                              std::to_string(Tier.Reuses),
-                         Cs.str(), Fused.str(),
                          Tier.Identical ? "yes" : "NO"});
     }
     std::cout << "[route once, replay many]\n"
               << ReuseTable.render()
               << "(12 configs sharing 64 sets x 64B lines — 4K/1w..32K/8w "
                  "x {LRU, FIFO, TreePLRU} — aggregate collector at "
-              << ReuseTiers.front().Shards << " shards; replay router: "
-              << (Router == PartitionRouter::Fused ? "fused"
-                                                   : "count+scatter")
-              << ")\n\n";
+              << ReuseTiers.front().Shards << " shards)\n\n";
   }
 
   // --- Speedup gate (CI) ------------------------------------------------
@@ -762,9 +725,6 @@ int main(int Argc, char **Argv) {
       Json << "     ]}" << (TI + 1 < Tiers.size() ? "," : "") << "\n";
     }
     Json << "  ],\n"
-         << "  \"replay_router\": \""
-         << (Router == PartitionRouter::Fused ? "fused" : "count_scatter")
-         << "\",\n"
          << "  \"sweep_reuse\": [\n";
     for (size_t TI = 0; TI < ReuseTiers.size(); ++TI) {
       const SweepReuseTier &Tier = ReuseTiers[TI];
@@ -777,8 +737,6 @@ int main(int Argc, char **Argv) {
            << ", \"speedup\": " << Tier.Speedup << ",\n"
            << "     \"partitions_routed\": " << Tier.Builds
            << ", \"partitions_reused\": " << Tier.Reuses << ",\n"
-           << "     \"router_count_scatter_seconds\": " << Tier.RouterCsSecs
-           << ", \"router_fused_seconds\": " << Tier.RouterFusedSecs << ",\n"
            << "     \"identical\": " << (Tier.Identical ? "true" : "false")
            << "}" << (TI + 1 < ReuseTiers.size() ? "," : "") << "\n";
     }
@@ -796,8 +754,8 @@ int main(int Argc, char **Argv) {
         << "\nwrote BENCH_sim_throughput.json and BENCH_simshard.json\n";
 
   if (!Identical) {
-    std::cerr << "error: shared-trace artifacts differ from the naive "
-                 "path's bytes\n";
+    std::cerr << "error: shared-trace artifacts differ from the runJob "
+                 "reference bytes\n";
     return 1;
   }
   if (!ShardIdentical) {
@@ -807,8 +765,7 @@ int main(int Argc, char **Argv) {
   }
   if (!ReuseIdentical) {
     std::cerr << "error: route-once sweep differs from per-config routing "
-                 "(aggregates, ordered bytes, reuse accounting, or router "
-                 "A/B partition)\n";
+                 "(aggregates, ordered bytes, or reuse accounting)\n";
     return 1;
   }
   if (!GatePassed) {

@@ -86,23 +86,15 @@ struct ContextKeyHash {
 } // namespace
 
 std::vector<MissEvent>
-Profiler::collectMissStream(const Trace &Execution) const {
-  if (Options.Level == ProfileLevel::L1)
-    return collectL1MissStream(Execution, Options.L1, Options.MissOptions);
-  PageMapper Mapper(Options.Mapping);
-  return collectL2MissStream(Execution, Options.L1, Options.L2, Mapper,
-                             Options.MissOptions);
-}
-
-std::vector<MissEvent>
 Profiler::collectMissStream(const Trace &Execution,
                             const SimContext &Ctx) const {
-  if (Options.Level == ProfileLevel::L1)
-    return collectL1MissStreamParallel(Execution, Options.L1,
-                                       Options.MissOptions, Ctx);
-  PageMapper Mapper(Options.Mapping);
-  return collectL2MissStreamParallel(Execution, Options.L1, Options.L2,
-                                     Mapper, Options.MissOptions, Ctx);
+  MissSpec Spec;
+  Spec.L1 = Options.L1;
+  if (Options.Level == ProfileLevel::L2)
+    Spec.L2 = Options.L2;
+  Spec.Mapping = Options.Mapping;
+  Spec.Options = Options.MissOptions;
+  return collectMisses(Execution, Spec, Ctx);
 }
 
 ProfileResult

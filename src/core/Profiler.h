@@ -147,16 +147,13 @@ public:
   /// depends only on Level / geometries / Mapping / MissOptions — never
   /// on sampling or the RCD threshold — so one collected stream serves
   /// every sampling-period / threshold variant of a cache configuration
-  /// (the batch pipeline's shared-trace fast path).
-  std::vector<MissEvent> collectMissStream(const Trace &Execution) const;
-
-  /// Like collectMissStream(), but simulates through the set-sharded
-  /// parallel engine when \p Ctx provides a thread pool with idle
-  /// budget. The stream is element-identical to the sequential
-  /// collector's at every shard and thread count (enforced by
+  /// (the batch pipeline's shared-trace fast path). A default \p Ctx
+  /// replays sequentially; a context with a thread pool lets the
+  /// replay shard by set (collectMisses). The stream is element-identical
+  /// at every shard and thread count (enforced by
   /// tests/CacheShardExactnessTest.cpp).
   std::vector<MissEvent> collectMissStream(const Trace &Execution,
-                                           const SimContext &Ctx) const;
+                                           const SimContext &Ctx = {}) const;
 
   /// Profiles against a precomputed \p Stream, which must come from
   /// collectMissStream() under identical cache-side options. With

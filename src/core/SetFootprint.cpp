@@ -7,6 +7,8 @@
 
 #include "core/SetFootprint.h"
 
+#include "sim/ReuseDistance.h"
+
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
@@ -75,14 +77,7 @@ uint64_t SetOccupancyTracker::access(uint64_t Addr) {
   // the access-count window over-evicts sparse-line streams (many
   // accesses, few lines) that a real cache keeps resident; it serves
   // as the thrash-vs-capacity classifier instead.
-  std::vector<uint64_t> &Stack = MruStack[Set];
-  auto StackIt = std::find(Stack.begin(), Stack.end(), Line);
-  LastWasResident = StackIt != Stack.end();
-  if (LastWasResident)
-    Stack.erase(StackIt);
-  else if (Stack.size() >= Ways)
-    Stack.pop_back();
-  Stack.insert(Stack.begin(), Line);
+  LastWasResident = touchMruStack(MruStack[Set], Line, Ways).has_value();
 
   LastWasNewLine = SeenLines.emplace(Line, 0).second;
   if (LastWasNewLine) {

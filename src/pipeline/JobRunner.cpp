@@ -51,6 +51,14 @@ JobOutcome ccprof::runJob(const JobSpec &Job, uint64_t TimestampNs) {
 
 namespace {
 
+/// Stability guard of the sweep screen: the predicted program miss
+/// ratio may move at most this much between each swept geometry and
+/// the same geometry with 10% more sets. It matches the reuse
+/// estimator's documented 0.05 approximation bound (DESIGN.md §11): a
+/// curve flatter than the modeling error cannot hide a
+/// geometry-sensitive conflict.
+constexpr double ScreenStabilityMargin = 0.05;
+
 std::string geometryKey(const CacheGeometry &G) {
   return std::to_string(G.sizeBytes()) + '/' +
          std::to_string(G.lineBytes()) + '/' +
@@ -72,20 +80,6 @@ std::string ccprof::missStreamKeyOf(const JobSpec &Job) {
   if (Options.Level == ProfileLevel::L2)
     Key += '|' + geometryKey(Options.L2) + '|' + mappingName(Options.Mapping);
   return Key;
-}
-
-std::vector<JobOutcome> ccprof::runJobsShared(
-    std::span<const JobSpec> Jobs, unsigned NumThreads, uint64_t TimestampNs,
-    const std::function<void(const JobOutcome &, size_t)> &OnJobDone,
-    MissStreamCache *StreamCache, SharedBatchStats *StatsOut) {
-  BatchExecOptions Exec;
-  Exec.Workers = std::max(1u, NumThreads);
-  // Budget == worker count: sharding appears only when workers go idle
-  // (the tail of the group list), so legacy callers keep their exact
-  // thread ceiling.
-  Exec.SimThreads = Exec.Workers;
-  return runJobsShared(Jobs, Exec, TimestampNs, OnJobDone, StreamCache,
-                       StatsOut);
 }
 
 std::vector<JobOutcome> ccprof::runJobsShared(
@@ -253,7 +247,7 @@ std::vector<JobOutcome> ccprof::runJobsShared(
                                         G.lineBytes(), G.associativity());
               const double Drift = std::abs(Program.missRatioAt(G) -
                                             Program.missRatioAt(Grown));
-              if (Drift > Exec.ScreenStabilityMargin) {
+              if (Drift > ScreenStabilityMargin) {
                 ScreenClean = false;
                 break;
               }
@@ -411,45 +405,5 @@ std::vector<JobOutcome> ccprof::runJobsShared(
       if (Curve)
         MrcOut->push_back(std::move(*Curve));
   }
-  return Outcomes;
-}
-
-std::vector<JobOutcome> ccprof::runJobs(
-    std::span<const JobSpec> Jobs, unsigned NumThreads, uint64_t TimestampNs,
-    const std::function<void(const JobOutcome &, size_t)> &OnJobDone) {
-  std::vector<JobOutcome> Outcomes(Jobs.size());
-  if (Jobs.empty())
-    return Outcomes;
-  NumThreads = std::max(1u, NumThreads);
-
-  std::atomic<size_t> NextJob{0};
-  std::atomic<size_t> NumDone{0};
-  std::mutex CallbackMutex;
-
-  auto Worker = [&]() {
-    for (size_t I = NextJob.fetch_add(1); I < Jobs.size();
-         I = NextJob.fetch_add(1)) {
-      Outcomes[I] = runJob(Jobs[I], TimestampNs);
-      size_t Done = NumDone.fetch_add(1) + 1;
-      if (OnJobDone) {
-        std::lock_guard<std::mutex> Lock(CallbackMutex);
-        OnJobDone(Outcomes[I], Done);
-      }
-    }
-  };
-
-  if (NumThreads == 1 || Jobs.size() == 1) {
-    Worker();
-    return Outcomes;
-  }
-
-  std::vector<std::thread> Pool;
-  const unsigned PoolSize =
-      static_cast<unsigned>(std::min<size_t>(NumThreads, Jobs.size()));
-  Pool.reserve(PoolSize);
-  for (unsigned I = 0; I < PoolSize; ++I)
-    Pool.emplace_back(Worker);
-  for (std::thread &T : Pool)
-    T.join();
   return Outcomes;
 }

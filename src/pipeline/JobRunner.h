@@ -7,22 +7,16 @@
 ///
 /// \file
 /// Executes a list of profiling jobs across a fixed-size worker thread
-/// pool. Two execution strategies share one outcome format:
-///
-///  * runJobs — the naive path: every job builds its own workload,
-///    trace, and miss stream from scratch. Jobs are fully independent,
-///    so any thread count produces identical output.
-///
-///  * runJobsShared — the single-pass multi-configuration engine: jobs
-///    are grouped by (workload, variant), each group's trace is
-///    generated and canonicalized once, the miss-event stream is
-///    computed once per distinct cache configuration (level, geometry,
-///    replacement policy, page mapping) through a bounded
-///    MissStreamCache, and all sampling-period / sampler / threshold /
-///    repeat variants fan out over the cached stream. Output is
-///    byte-identical to runJobs: the profiler runs the exact same
-///    collect-then-sample phases, just without recomputing the collect
-///    phase per job.
+/// pool with the single-pass multi-configuration engine (runJobsShared):
+/// jobs are grouped by (workload, variant), each group's trace is
+/// generated and canonicalized once, the miss-event stream is computed
+/// once per distinct cache configuration (level, geometry, replacement
+/// policy, page mapping) through a bounded MissStreamCache, and all
+/// sampling-period / sampler / threshold / repeat variants fan out over
+/// the cached stream. Output is byte-identical to running runJob — the
+/// single-job reference — over each job in turn: the profiler runs the
+/// exact same collect-then-sample phases, just without recomputing the
+/// collect phase per job.
 ///
 /// Results land in the slot of their job index, so the output vector is
 /// identical no matter how many threads ran or how the scheduler
@@ -71,22 +65,10 @@ struct JobOutcome {
 /// \p TimestampNs stamps the artifact's provenance (0 = deterministic).
 JobOutcome runJob(const JobSpec &Job, uint64_t TimestampNs = 0);
 
-/// Runs every job of \p Jobs on \p NumThreads workers (1 = fully
-/// sequential in the calling thread). Outcomes are returned in job
-/// order regardless of completion order. \p OnJobDone, when set, is
-/// invoked after each job completes — serialized under a mutex, so it
-/// may write to shared streams — with the finished outcome and the
-/// number of jobs completed so far.
-std::vector<JobOutcome>
-runJobs(std::span<const JobSpec> Jobs, unsigned NumThreads,
-        uint64_t TimestampNs = 0,
-        const std::function<void(const JobOutcome &, size_t)> &OnJobDone =
-            nullptr);
-
 /// Accounting of one shared-trace batch run.
 struct SharedBatchStats {
-  /// Distinct (workload, variant) groups, i.e. traces generated. The
-  /// naive path generates one trace per *job* instead.
+  /// Distinct (workload, variant) groups, i.e. traces generated.
+  /// runJob generates one trace per *job* instead.
   uint64_t TraceGroups = 0;
   /// Miss-stream cache accounting: Misses counts full trace
   /// simulations, Hits counts simulations avoided.
@@ -169,20 +151,14 @@ struct BatchExecOptions {
   /// the group's jobs request, each must analyze conflict-free
   /// (complete model, no victim sets), the analytic reuse profile must
   /// be available, and the predicted miss ratio must be stable around
-  /// every swept geometry (ScreenStabilityMargin) — a curve sitting on
-  /// a capacity cliff could flip a nearby verdict, so the screen
-  /// refuses to skip it. Skipped jobs finish with JobOutcome::Skipped
-  /// set and no artifact; jobs that do run produce byte-identical
-  /// artifacts to an unscreened run. Groups whose members all skip
-  /// never generate a trace at all — the screening payoff.
+  /// every swept geometry (ScreenStabilityMargin in JobRunner.cpp) — a
+  /// curve sitting on a capacity cliff could flip a nearby verdict, so
+  /// the screen refuses to skip it. Skipped jobs finish with
+  /// JobOutcome::Skipped set and no artifact; jobs that do run produce
+  /// byte-identical artifacts to an unscreened run. Groups whose
+  /// members all skip never generate a trace at all — the screening
+  /// payoff.
   bool StaticScreen = false;
-  /// Stability guard of the sweep screen: the predicted program miss
-  /// ratio may move at most this much between each swept geometry and
-  /// the same geometry with 10% more sets. The default matches the
-  /// reuse estimator's documented 0.05 approximation bound (DESIGN.md
-  /// §11): a curve flatter than the modeling error cannot hide a
-  /// geometry-sensitive conflict.
-  double ScreenStabilityMargin = 0.05;
   /// Route each group's L1 LRU jobs through one single-pass miss-ratio
   /// curve (MrcEngine) instead of per-configuration simulations. Routed
   /// jobs finish with JobOutcome::MrcPredicted and no artifact; the
@@ -224,8 +200,11 @@ std::string missStreamKeyOf(const JobSpec &Job);
 /// fan out across set shards whenever the shared thread budget has
 /// idle slots. \p StreamCache bounds how many distinct miss streams
 /// stay resident; pass nullptr to use a run-local cache of default
-/// capacity. Outcomes are byte-identical to runJobs on the same job
-/// list at every Workers / SimThreads / Shards combination.
+/// capacity. Outcomes are byte-identical to runJob over each job at
+/// every Workers / SimThreads / Shards combination. \p OnJobDone, when
+/// set, is invoked after each job completes — serialized under a
+/// mutex, so it may write to shared streams — with the finished
+/// outcome and the number of jobs completed so far.
 /// \p MrcOut receives one MrcGroupCurve per group that ran an MRC pass
 /// (group order, hence deterministic); ignored unless Exec.Mrc.
 std::vector<JobOutcome> runJobsShared(
@@ -234,14 +213,6 @@ std::vector<JobOutcome> runJobsShared(
     const std::function<void(const JobOutcome &, size_t)> &OnJobDone = nullptr,
     MissStreamCache *StreamCache = nullptr, SharedBatchStats *StatsOut = nullptr,
     std::vector<MrcGroupCurve> *MrcOut = nullptr);
-
-/// Back-compat shape: \p NumThreads batch workers with a thread budget
-/// equal to NumThreads (shard helpers only appear when workers idle).
-std::vector<JobOutcome> runJobsShared(
-    std::span<const JobSpec> Jobs, unsigned NumThreads,
-    uint64_t TimestampNs = 0,
-    const std::function<void(const JobOutcome &, size_t)> &OnJobDone = nullptr,
-    MissStreamCache *StreamCache = nullptr, SharedBatchStats *StatsOut = nullptr);
 
 } // namespace ccprof
 

@@ -12,132 +12,67 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 using namespace ccprof;
 
 namespace {
 
-/// Decision of the sharding gate: how many shards to cut and how many
-/// pool workers were granted to help simulate them.
-struct ShardGrant {
-  unsigned Shards = 1;  ///< 1 = stay sequential.
-  unsigned Helpers = 0; ///< Budget slots to release afterwards.
-};
-
-/// Applies the oversubscription policy: shard only with threads to
-/// spare. The budget hands out idle slots only — when batch-level jobs
-/// already cover the machine nothing is granted and the simulation
-/// stays sequential; on the tail of a run (or a small matrix on a big
-/// machine) the freed worker slots flow here and the job fans out.
-ShardGrant acquireShardGrant(const SimContext &Ctx, uint64_t NumSets,
-                             size_t NumRefs, bool IsL2Stage2 = false) {
-  ShardGrant Grant;
-  if (!Ctx.Pool || NumSets < 2 || NumRefs < Ctx.MinRefsToShard)
-    return Grant;
-
-  // The grant asks the budget for every pool worker, not Shards - 1:
-  // partition chunks, merge segments, and the event rebuild all
-  // parallelize past the shard count, so slots beyond the replay's
-  // need still cut the serial fraction. Replay simply leaves extra
-  // workers idle (parallelFor hands out at most one token per shard).
-  Grant.Helpers = Ctx.Budget ? Ctx.Budget->tryAcquire(Ctx.Pool->workerCount())
-                             : Ctx.Pool->workerCount();
-  // An explicit shard count is honored even when no helper is idle
-  // (the caller's thread simulates every shard); an automatic count
-  // follows the grant so a lone thread skips partitioning entirely.
-  Grant.Shards = static_cast<unsigned>(std::min<uint64_t>(
-      NumSets, Ctx.Shards != 0 ? Ctx.Shards : Grant.Helpers + 1));
-  if (Ctx.Stats && Grant.Shards > 1) {
-    if (IsL2Stage2) {
-      // The L2 stage-2 replay is a nested phase of one collection, not
-      // a second simulation — it gets its own counter so bench sweeps
-      // see how often the miss stream was big enough to shard.
-      Ctx.Stats->L2StageShardedSims.fetch_add(1, std::memory_order_relaxed);
-      return Grant;
-    }
-    Ctx.Stats->ShardedSims.fetch_add(1, std::memory_order_relaxed);
-    // Degraded mode: the shard count was forced but no helper showed
-    // up, so one thread replays every shard back to back. Bench sweeps
-    // read this to tell "sharded but unhelped" from real parallelism.
-    if (Grant.Helpers == 0)
-      Ctx.Stats->UnhelpedShardedSims.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Grant;
+/// Random draws from a cache-global RNG whose consumption order
+/// depends on the interleaving of sets, so a Random simulation never
+/// asks for a grant: it gates on an empty context.
+const SimContext &gateContext(const SimContext &Ctx,
+                              const MissStreamOptions &Options) {
+  static const SimContext Sequential;
+  return Options.Policy == ReplacementKind::Random ? Sequential : Ctx;
 }
 
-void releaseShardGrant(const SimContext &Ctx, const ShardGrant &Grant) {
-  if (Ctx.Budget && Grant.Helpers > 0)
-    Ctx.Budget->release(Grant.Helpers);
+/// The sharded replay every sharded phase runs — L1, L2 stage 1 and
+/// L2 stage 2: plan \p Grant's set ranges, take the partition of
+/// \p Refs, and replay each shard against a windowed cache on
+/// Ctx.Pool, handing \p OnShard the shard index, its cache and its
+/// refs. The caller merges or sums what \p OnShard leaves behind.
+template <typename RefT, typename ShardFn>
+void replayShards(std::span<const RefT> Refs, const CacheGeometry &Geometry,
+                  ReplacementKind Policy, const SimContext &Ctx,
+                  const ShardGrant &Grant, ShardFn OnShard) {
+  assert(Ctx.Pool && "a sharded replay needs the context's pool");
+  const std::vector<SetRange> Plan =
+      planShards(Geometry.numSets(), Grant.shards());
+  // A stage-1 partition indexes the trace, so the route-once cache
+  // serves it; a stage-2 input is an L1-config-dependent miss stream no
+  // two configurations share, so it is routed on the spot.
+  PartitionCache::PartitionPtr Parts;
+  if constexpr (std::is_same_v<RefT, MemoryRecord>)
+    Parts = routeOrReuse(Refs, Geometry, Plan, Ctx, Grant.helpers());
+  else
+    Parts = std::make_shared<const ShardPartition>(
+        partitionBySet(Refs, Geometry, Plan, Ctx.Pool, Grant.helpers()));
+  Ctx.Pool->parallelFor(Plan.size(), Grant.helpers(), [&](size_t S) {
+    std::unique_ptr<Cache> ShardCache =
+        Ctx.CachePool ? Ctx.CachePool->acquire(Geometry, Policy, Plan[S])
+                      : std::make_unique<Cache>(Geometry, Plan[S], Policy);
+    OnShard(S, *ShardCache, Parts->shard(S));
+    if (Ctx.CachePool)
+      Ctx.CachePool->park(std::move(ShardCache));
+  });
 }
 
-/// Shards the full reference stream through caches of \p Geometry and
-/// \returns the globally-ordered sequence numbers of every missing
-/// access (loads and stores alike — callers filter). The partition is
-/// served from Ctx.Partitions when the context carries a registered
-/// trace — the "route once, replay many" path a config sweep hits —
-/// and routed on the spot otherwise (block-parallel with helpers,
-/// sequential two-pass fill in the degraded explicit-shards mode).
-std::vector<uint64_t> shardedMissSeqs(std::span<const MemoryRecord> Records,
+/// Sharded replay + ordered merge: the ascending sequence numbers of
+/// every missing access (loads and stores alike — callers filter).
+template <typename RefT>
+std::vector<uint64_t> shardedMissSeqs(std::span<const RefT> Refs,
                                       const CacheGeometry &Geometry,
                                       ReplacementKind Policy,
                                       const SimContext &Ctx,
                                       const ShardGrant &Grant) {
-  const std::vector<SetRange> Plan = planShards(Geometry.numSets(),
-                                                Grant.Shards);
-  const PartitionCache::PartitionPtr Parts =
-      routeOrReuse(Records, Geometry, Plan, Ctx, Grant.Helpers);
-
-  std::vector<std::vector<uint64_t>> PerShard(Plan.size());
-  Ctx.Pool->parallelFor(Plan.size(), Grant.Helpers, [&](size_t S) {
-    std::unique_ptr<Cache> ShardCache =
-        Ctx.CachePool ? Ctx.CachePool->acquire(Geometry, Policy, Plan[S])
-                      : std::make_unique<Cache>(Geometry, Plan[S], Policy);
-    simulateShard(*ShardCache, Parts->shard(S), PerShard[S]);
-    if (Ctx.CachePool)
-      Ctx.CachePool->park(std::move(ShardCache));
-  });
-  return mergeMissSeqs(PerShard, Ctx.Pool, Grant.Helpers);
-}
-
-/// Aggregate-only sharded replay: per-shard counters and per-set miss
-/// counts combine without ever reconstructing global order — the merge
-/// is elided outright.
-MissStreamAggregates
-shardedMissAggregates(std::span<const MemoryRecord> Records,
-                      const CacheGeometry &Geometry, ReplacementKind Policy,
-                      MissStreamOptions Options, const SimContext &Ctx,
-                      const ShardGrant &Grant) {
-  const std::vector<SetRange> Plan = planShards(Geometry.numSets(),
-                                                Grant.Shards);
-  const PartitionCache::PartitionPtr Parts =
-      routeOrReuse(Records, Geometry, Plan, Ctx, Grant.Helpers);
-
-  MissStreamAggregates Agg;
-  Agg.Accesses = Records.size();
-  Agg.PerSetMisses.assign(Geometry.numSets(), 0);
-  std::vector<ShardAggregates> PerShard(Plan.size());
-  Ctx.Pool->parallelFor(Plan.size(), Grant.Helpers, [&](size_t S) {
-    std::unique_ptr<Cache> ShardCache =
-        Ctx.CachePool ? Ctx.CachePool->acquire(Geometry, Policy, Plan[S])
-                      : std::make_unique<Cache>(Geometry, Plan[S], Policy);
-    PerShard[S] = simulateShardAggregates(*ShardCache, Parts->shard(S));
-    // Shard windows are disjoint set ranges, so these writes never
-    // overlap across workers.
-    std::copy(ShardCache->perSetMisses().begin(),
-              ShardCache->perSetMisses().end(),
-              Agg.PerSetMisses.begin() + Plan[S].Begin);
-    if (Ctx.CachePool)
-      Ctx.CachePool->park(std::move(ShardCache));
-  });
-  for (const ShardAggregates &Shard : PerShard) {
-    Agg.Misses += Shard.Misses;
-    Agg.LoadMisses += Shard.LoadMisses;
-    Agg.StoreMisses += Shard.StoreMisses;
-  }
-  Agg.Events = Agg.LoadMisses + (Options.IncludeStores ? Agg.StoreMisses : 0);
-  if (Ctx.Stats)
-    Ctx.Stats->ElidedMerges.fetch_add(1, std::memory_order_relaxed);
-  return Agg;
+  std::vector<std::vector<uint64_t>> PerShard(Grant.shards());
+  replayShards(Refs, Geometry, Policy, Ctx, Grant,
+               [&](size_t S, Cache &ShardCache,
+                   std::span<const ShardRef> Shard) {
+                 simulateShard(ShardCache, Shard, PerShard[S]);
+               });
+  return mergeMissSeqs(PerShard, Ctx.Pool, Grant.helpers());
 }
 
 /// Rebuilds a MissEvent stream from merged miss indices. The tail is
@@ -146,25 +81,33 @@ shardedMissAggregates(std::span<const MemoryRecord> Records,
 /// chunks count their kept events, a prefix sum assigns disjoint
 /// output slices, and the scatter fills them. The chunk grid never
 /// changes the bytes produced — only who writes them — so the stream
-/// stays identical at every helper count. \p KeepAll short-circuits
-/// the count pass when every index yields an event; \p KeepsEvent and
-/// \p EventOf map a merged index to its filter decision and event.
-template <typename KeepFn, typename EventFn>
+/// stays identical at every helper count. \p RecordOf maps a merged
+/// index to its trace record and \p AddrOf to the address the target
+/// level indexes by; store misses are kept only with \p IncludeStores,
+/// which also short-circuits the count pass (every index is an event).
+template <typename RecordFn, typename AddrFn>
 std::vector<MissEvent> rebuildEvents(std::span<const uint64_t> Seqs,
-                                     bool KeepAll, KeepFn KeepsEvent,
-                                     EventFn EventOf, const SimContext &Ctx,
+                                     bool IncludeStores, RecordFn RecordOf,
+                                     AddrFn AddrOf, ThreadPool *Pool,
                                      unsigned Helpers) {
+  auto KeepsEvent = [&](uint64_t I) {
+    return IncludeStores || !RecordOf(I).IsWrite;
+  };
+  auto EventOf = [&](uint64_t I) {
+    const MemoryRecord &Record = RecordOf(I);
+    return MissEvent{Record.Site, AddrOf(I), Record.Addr};
+  };
   std::vector<MissEvent> Stream;
   if (Helpers > 0 && !Seqs.empty()) {
     const std::vector<size_t> Chunks =
         planChunks(Seqs.size(), Helpers + 1, size_t{1} << 15);
     const size_t NumChunks = Chunks.size() - 1;
     std::vector<size_t> Offsets(NumChunks + 1, 0);
-    if (KeepAll) {
+    if (IncludeStores) {
       // Every miss becomes an event: offsets are the chunk bounds.
       Offsets = Chunks;
     } else {
-      Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
+      Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
         size_t Kept = 0;
         for (size_t I = Chunks[C]; I < Chunks[C + 1]; ++I)
           Kept += KeepsEvent(Seqs[I]) ? 1 : 0;
@@ -174,7 +117,7 @@ std::vector<MissEvent> rebuildEvents(std::span<const uint64_t> Seqs,
         Offsets[C + 1] += Offsets[C];
     }
     Stream.resize(Offsets.back());
-    Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
+    Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
       size_t Out = Offsets[C];
       for (size_t I = Chunks[C]; I < Chunks[C + 1]; ++I) {
         if (!KeepsEvent(Seqs[I]))
@@ -194,143 +137,66 @@ std::vector<MissEvent> rebuildEvents(std::span<const uint64_t> Seqs,
   return Stream;
 }
 
-/// Sequential aggregate collection: the same replay as
-/// collectL1MissStream, counting instead of recording.
-MissStreamAggregates
-sequentialMissAggregates(const Trace &Execution, const CacheGeometry &Geometry,
-                         MissStreamOptions Options) {
-  Cache L1(Geometry, Options.Policy);
-  MissStreamAggregates Agg;
-  Agg.Accesses = Execution.size();
-  for (const MemoryRecord &Record : Execution.records()) {
+/// The no-grant replay: one direct loop over the trace, through L2
+/// too when the spec has one.
+std::vector<MissEvent> sequentialMisses(std::span<const MemoryRecord> Records,
+                                        const MissSpec &Spec) {
+  Cache L1(Spec.L1, Spec.Options.Policy);
+  std::optional<Cache> L2;
+  std::optional<PageMapper> Mapper;
+  if (Spec.L2) {
+    L2.emplace(*Spec.L2, Spec.Options.Policy);
+    Mapper.emplace(Spec.Mapping);
+  }
+  std::vector<MissEvent> Stream;
+  // Sized for a pessimistic miss ratio up front (L2 misses are rarer):
+  // push_back regrowth is a visible cost in profile runs on long
+  // traces.
+  Stream.reserve(Records.size() / (L2 ? 16 : 4) + 16);
+  for (const MemoryRecord &Record : Records) {
     if (L1.access(Record.Addr, Record.IsWrite).Hit)
       continue;
-    ++(Record.IsWrite ? Agg.StoreMisses : Agg.LoadMisses);
+    // L1 is virtually indexed; only its misses reach L2, which sees
+    // physical addresses.
+    uint64_t Addr = Record.Addr;
+    if (L2) {
+      Addr = Mapper->translate(Record.Addr);
+      if (L2->access(Addr, Record.IsWrite).Hit)
+        continue;
+    }
+    if (Record.IsWrite && !Spec.Options.IncludeStores)
+      continue;
+    Stream.push_back(MissEvent{Record.Site, Addr, Record.Addr});
   }
-  Agg.Misses = L1.stats().Misses;
-  Agg.PerSetMisses = L1.perSetMisses();
-  Agg.Events = Agg.LoadMisses + (Options.IncludeStores ? Agg.StoreMisses : 0);
-  return Agg;
+  return Stream;
 }
 
 } // namespace
 
-std::vector<MissEvent>
-ccprof::collectL1MissStream(const Trace &Execution,
-                            const CacheGeometry &Geometry,
-                            MissStreamOptions Options) {
-  Cache L1(Geometry, Options.Policy);
-  std::vector<MissEvent> Stream;
-  // Sized for a pessimistic miss ratio up front: push_back regrowth is
-  // a visible cost in profileImpl profiles on long traces.
-  Stream.reserve(Execution.size() / 4 + 16);
-  for (const MemoryRecord &Record : Execution.records()) {
-    CacheAccessResult Access = L1.access(Record.Addr, Record.IsWrite);
-    if (Access.Hit)
-      continue;
-    if (Record.IsWrite && !Options.IncludeStores)
-      continue;
-    Stream.push_back(MissEvent{Record.Site, Record.Addr, Record.Addr});
-  }
-  return Stream;
-}
-
-std::vector<MissEvent>
-ccprof::collectL2MissStream(const Trace &Execution,
-                            const CacheGeometry &L1Geometry,
-                            const CacheGeometry &L2Geometry,
-                            PageMapper &Mapper, MissStreamOptions Options) {
-  Cache L1(L1Geometry, Options.Policy);
-  Cache L2(L2Geometry, Options.Policy);
-  std::vector<MissEvent> Stream;
-  // L2 misses are rarer than L1 misses; reserve a smaller slab.
-  Stream.reserve(Execution.size() / 16 + 16);
-  for (const MemoryRecord &Record : Execution.records()) {
-    // L1 is virtually indexed; only its misses reach L2, which sees
-    // physical addresses.
-    if (L1.access(Record.Addr, Record.IsWrite).Hit)
-      continue;
-    uint64_t Physical = Mapper.translate(Record.Addr);
-    if (L2.access(Physical, Record.IsWrite).Hit)
-      continue;
-    if (Record.IsWrite && !Options.IncludeStores)
-      continue;
-    Stream.push_back(MissEvent{Record.Site, Physical, Record.Addr});
-  }
-  return Stream;
-}
-
-MissStreamAggregates
-ccprof::collectL1MissAggregates(const Trace &Execution,
-                                const CacheGeometry &Geometry,
-                                MissStreamOptions Options,
-                                const SimContext &Ctx) {
-  if (Options.Policy == ReplacementKind::Random)
-    return sequentialMissAggregates(Execution, Geometry, Options);
-  const ShardGrant Grant =
-      acquireShardGrant(Ctx, Geometry.numSets(), Execution.size());
-  if (Grant.Shards <= 1 && Grant.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant);
-    return sequentialMissAggregates(Execution, Geometry, Options);
-  }
-  MissStreamAggregates Agg = shardedMissAggregates(
-      Execution.records(), Geometry, Options.Policy, Options, Ctx, Grant);
-  releaseShardGrant(Ctx, Grant);
-  return Agg;
-}
-
-std::vector<MissEvent> ccprof::collectL1MissStreamParallel(
-    const Trace &Execution, const CacheGeometry &Geometry,
-    MissStreamOptions Options, const SimContext &Ctx) {
-  if (Options.Policy == ReplacementKind::Random)
-    return collectL1MissStream(Execution, Geometry, Options);
-  const ShardGrant Grant =
-      acquireShardGrant(Ctx, Geometry.numSets(), Execution.size());
-  if (Grant.Shards <= 1 && Grant.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant);
-    return collectL1MissStream(Execution, Geometry, Options);
-  }
-
-  const std::vector<uint64_t> MissSeqs = shardedMissSeqs(
-      Execution.records(), Geometry, Options.Policy, Ctx, Grant);
-
-  // Rebuild the MissEvent stream from the merged sequence numbers.
+std::vector<MissEvent> ccprof::collectMisses(const Trace &Execution,
+                                             const MissSpec &Spec,
+                                             const SimContext &Ctx) {
   const std::span<const MemoryRecord> Records = Execution.records();
-  std::vector<MissEvent> Stream = rebuildEvents(
-      MissSeqs, Options.IncludeStores,
-      [&](uint64_t Seq) {
-        return !Records[Seq].IsWrite || Options.IncludeStores;
-      },
-      [&](uint64_t Seq) {
-        const MemoryRecord &Record = Records[Seq];
-        return MissEvent{Record.Site, Record.Addr, Record.Addr};
-      },
-      Ctx, Grant.Helpers);
-  releaseShardGrant(Ctx, Grant);
-  return Stream;
-}
-
-std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
-    const Trace &Execution, const CacheGeometry &L1Geometry,
-    const CacheGeometry &L2Geometry, PageMapper &Mapper,
-    MissStreamOptions Options, const SimContext &Ctx) {
-  if (Options.Policy == ReplacementKind::Random)
-    return collectL2MissStream(Execution, L1Geometry, L2Geometry, Mapper,
-                               Options);
-  const ShardGrant Grant =
-      acquireShardGrant(Ctx, L1Geometry.numSets(), Execution.size());
-  if (Grant.Shards <= 1 && Grant.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant);
-    return collectL2MissStream(Execution, L1Geometry, L2Geometry, Mapper,
-                               Options);
+  const MissStreamOptions &Options = Spec.Options;
+  std::vector<uint64_t> L1MissSeqs;
+  // The stage-1 grant ends with this scope, so its helpers are back in
+  // the budget before the L2 stage asks for its own grant.
+  {
+    const ShardGrant Grant(gateContext(Ctx, Options), Spec.L1.numSets(),
+                           Records.size());
+    if (!Grant.sharded())
+      return sequentialMisses(Records, Spec);
+    // Every L1 miss reaches L2 regardless of load/store, so no
+    // filtering happens here.
+    L1MissSeqs =
+        shardedMissSeqs(Records, Spec.L1, Options.Policy, Ctx, Grant);
+    if (!Spec.L2)
+      return rebuildEvents(
+          L1MissSeqs, Options.IncludeStores,
+          [&](uint64_t Seq) -> const MemoryRecord & { return Records[Seq]; },
+          [&](uint64_t Seq) { return Records[Seq].Addr; }, Ctx.Pool,
+          Grant.helpers());
   }
-
-  // Stage 1 (sharded): the full-trace L1 replay, by far the dominant
-  // cost. Every L1 miss reaches L2 regardless of load/store, so no
-  // filtering happens here.
-  const std::vector<uint64_t> L1MissSeqs = shardedMissSeqs(
-      Execution.records(), L1Geometry, Options.Policy, Ctx, Grant);
-  releaseShardGrant(Ctx, Grant);
 
   // Translation pass (sequential): PageMapper allocates frames at
   // first touch, so the translation *order* is semantic — it must
@@ -339,7 +205,7 @@ std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
   // shapes. The pass emits one ShardRef per L1 miss whose "sequence"
   // is its index into L1MissSeqs: locally dense, globally ordered, and
   // exactly what the stage-2 merge needs to be deterministic.
-  const std::span<const MemoryRecord> Records = Execution.records();
+  PageMapper Mapper(Spec.Mapping);
   std::vector<ShardRef> L2Refs(L1MissSeqs.size());
   for (size_t I = 0; I < L1MissSeqs.size(); ++I) {
     const MemoryRecord &Record = Records[L1MissSeqs[I]];
@@ -347,60 +213,68 @@ std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
         ShardRef::make(I, Mapper.translate(Record.Addr), Record.IsWrite);
   }
 
-  // Stage 2: replay the translated miss stream through L2, sharded by
-  // L2 set when the stream is long enough to be worth a second grant
-  // (the same per-set independence argument applies — only the
-  // addresses now are physical). Sequential otherwise: the merged L1
-  // miss list is usually a small fraction of the trace.
-  const ShardGrant Grant2 = acquireShardGrant(
-      Ctx, L2Geometry.numSets(), L2Refs.size(), /*IsL2Stage2=*/true);
-  auto KeepsEvent = [&](uint64_t Idx) {
-    return !Records[L1MissSeqs[Idx]].IsWrite || Options.IncludeStores;
-  };
-  auto EventOf = [&](uint64_t Idx) {
-    const MemoryRecord &Record = Records[L1MissSeqs[Idx]];
-    return MissEvent{Record.Site, L2Refs[Idx].Addr, Record.Addr};
-  };
-  if (Grant2.Shards <= 1 && Grant2.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant2);
-    Cache L2(L2Geometry, Options.Policy);
-    std::vector<MissEvent> Stream;
-    Stream.reserve(L2Refs.size() / 4 + 16);
-    for (const ShardRef &Ref : L2Refs) {
-      if (L2.access(Ref.Addr, Ref.isWrite()).Hit)
-        continue;
-      if (!KeepsEvent(Ref.seq()))
-        continue;
-      Stream.push_back(EventOf(Ref.seq()));
-    }
-    return Stream;
-  }
-
-  const std::vector<SetRange> L2Plan =
-      planShards(L2Geometry.numSets(), Grant2.Shards);
-  // No reuse cache here: the stage-2 input is an L1-config-dependent
-  // miss stream, not the trace, so no two configs share it.
-  const ShardPartition L2Parts =
-      Grant2.Helpers > 0
-          ? partitionRefsBySetParallel(L2Refs, L2Geometry, L2Plan, *Ctx.Pool,
-                                       Grant2.Helpers)
-          : partitionRefsBySet(L2Refs, L2Geometry, L2Plan);
-  std::vector<std::vector<uint64_t>> PerShard(L2Plan.size());
-  Ctx.Pool->parallelFor(L2Plan.size(), Grant2.Helpers, [&](size_t S) {
-    std::unique_ptr<Cache> ShardCache =
-        Ctx.CachePool
-            ? Ctx.CachePool->acquire(L2Geometry, Options.Policy, L2Plan[S])
-            : std::make_unique<Cache>(L2Geometry, L2Plan[S], Options.Policy);
-    simulateShard(*ShardCache, L2Parts.shard(S), PerShard[S]);
-    if (Ctx.CachePool)
-      Ctx.CachePool->park(std::move(ShardCache));
-  });
+  // Stage 2: replay the translated miss stream through L2 under a
+  // grant of its own (the same per-set independence argument applies —
+  // only the addresses now are physical). It shards by L2 set when the
+  // stream is long enough to clear Ctx.MinRefsToShard; the merged L1
+  // miss list is usually a small fraction of the trace, so it mostly
+  // replays as one inline shard.
+  const ShardGrant Grant(Ctx, Spec.L2->numSets(), L2Refs.size(),
+                         ShardGrant::Use::L2Stage);
   const std::vector<uint64_t> L2MissIdx =
-      mergeMissSeqs(PerShard, Ctx.Pool, Grant2.Helpers);
+      shardedMissSeqs(std::span<const ShardRef>(L2Refs), *Spec.L2,
+                      Options.Policy, Ctx, Grant);
+  return rebuildEvents(
+      L2MissIdx, Options.IncludeStores,
+      [&](uint64_t Idx) -> const MemoryRecord & {
+        return Records[L1MissSeqs[Idx]];
+      },
+      [&](uint64_t Idx) { return L2Refs[Idx].Addr; }, Ctx.Pool,
+      Grant.helpers());
+}
 
-  std::vector<MissEvent> Stream = rebuildEvents(
-      L2MissIdx, Options.IncludeStores, KeepsEvent, EventOf, Ctx,
-      Grant2.Helpers);
-  releaseShardGrant(Ctx, Grant2);
-  return Stream;
+MissStreamAggregates ccprof::collectMissAggregates(const Trace &Execution,
+                                                   const MissSpec &Spec,
+                                                   const SimContext &Ctx) {
+  assert(!Spec.L2 && "aggregate collection is L1 only");
+  const std::span<const MemoryRecord> Records = Execution.records();
+  const MissStreamOptions &Options = Spec.Options;
+  MissStreamAggregates Agg;
+  Agg.Accesses = Records.size();
+
+  const ShardGrant Grant(gateContext(Ctx, Options), Spec.L1.numSets(),
+                         Records.size());
+  if (!Grant.sharded()) {
+    Cache L1(Spec.L1, Options.Policy);
+    for (const MemoryRecord &Record : Records)
+      if (!L1.access(Record.Addr, Record.IsWrite).Hit)
+        ++(Record.IsWrite ? Agg.StoreMisses : Agg.LoadMisses);
+    Agg.Misses = L1.stats().Misses;
+    Agg.PerSetMisses = L1.perSetMisses();
+  } else {
+    // Per-shard counters and per-set miss counts combine without ever
+    // reconstructing global order — the merge is elided outright.
+    Agg.PerSetMisses.assign(Spec.L1.numSets(), 0);
+    std::vector<ShardAggregates> PerShard(Grant.shards());
+    replayShards(Records, Spec.L1, Options.Policy, Ctx, Grant,
+                 [&](size_t S, Cache &ShardCache,
+                     std::span<const ShardRef> Shard) {
+                   PerShard[S] = simulateShardAggregates(ShardCache, Shard);
+                   // Shard windows are disjoint set ranges, so these
+                   // writes never overlap across workers.
+                   std::copy(ShardCache.perSetMisses().begin(),
+                             ShardCache.perSetMisses().end(),
+                             Agg.PerSetMisses.begin() +
+                                 ShardCache.window().Begin);
+                 });
+    for (const ShardAggregates &Shard : PerShard) {
+      Agg.Misses += Shard.Misses;
+      Agg.LoadMisses += Shard.LoadMisses;
+      Agg.StoreMisses += Shard.StoreMisses;
+    }
+    if (Ctx.Stats)
+      Ctx.Stats->ElidedMerges.fetch_add(1, std::memory_order_relaxed);
+  }
+  Agg.Events = Agg.LoadMisses + (Options.IncludeStores ? Agg.StoreMisses : 0);
+  return Agg;
 }

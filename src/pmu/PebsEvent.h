@@ -26,6 +26,7 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace ccprof {
@@ -53,7 +54,7 @@ struct PebsSample {
   uint64_t EventIndex = 0; ///< 0-based index among all miss events.
 };
 
-/// Options for deriving the L1 miss stream from a trace.
+/// Options for deriving the miss stream from a trace.
 struct MissStreamOptions {
   ReplacementKind Policy = ReplacementKind::Lru;
   /// The hardware event counts retired *load* misses; stores still
@@ -61,32 +62,47 @@ struct MissStreamOptions {
   bool IncludeStores = false;
 };
 
-/// Replays \p Execution through an L1 cache of \p Geometry and \returns
-/// the stream of miss events, one per missing load (and store, if
-/// requested). This is the reproduction's MEM_LOAD_UOPS_RETIRED:L1_MISS
-/// event source.
-std::vector<MissEvent> collectL1MissStream(const Trace &Execution,
-                                           const CacheGeometry &Geometry,
-                                           MissStreamOptions Options = {});
+/// Everything a miss stream depends on: the cache level(s) the trace
+/// replays through and how their events are filtered.
+struct MissSpec {
+  /// The virtually-indexed L1.
+  CacheGeometry L1 = CacheGeometry(32 * 1024, 64, 8);
+  /// When set, L1 misses continue into a physically-indexed L2 and
+  /// only loads missing both become events — the
+  /// MEM_LOAD_UOPS_RETIRED:L2_MISS analogue needed to extend RCD
+  /// analysis above L1 (paper footnote 1).
+  std::optional<CacheGeometry> L2 = std::nullopt;
+  /// Page-mapping policy translating L1 misses to the physical
+  /// addresses L2 indexes by; ignored without L2.
+  PagePolicy Mapping = PagePolicy::FirstTouch;
+  MissStreamOptions Options = {};
+};
 
-/// Replays \p Execution through a virtually-indexed L1 and a
-/// physically-indexed L2 (addresses translated by \p Mapper) and
-/// \returns one event per load that misses both, carrying the
-/// *physical* address — the MEM_LOAD_UOPS_RETIRED:L2_MISS analogue
-/// needed to extend RCD analysis above L1 (paper footnote 1).
-std::vector<MissEvent> collectL2MissStream(const Trace &Execution,
-                                           const CacheGeometry &L1Geometry,
-                                           const CacheGeometry &L2Geometry,
-                                           PageMapper &Mapper,
-                                           MissStreamOptions Options = {});
+/// Replays \p Execution through the cache(s) of \p Spec and \returns
+/// one event per missing load (and store, if requested) — the
+/// reproduction's MEM_LOAD_UOPS_RETIRED:L1_MISS (or L2_MISS) event
+/// source. A default \p Ctx replays sequentially. A context with a
+/// thread pool lets the replay shard by set when ShardGrant grants it:
+/// the trace is partitioned by set index, contiguous set ranges are
+/// simulated on the pool, and the per-shard miss lists merge by global
+/// sequence number. For L2 the merged L1 miss list then drives the
+/// page mapper sequentially (frame allocation is first-touch, so
+/// translation *order* is semantic), after which the translated stream
+/// is itself partitioned by L2 set and replayed. The stream is
+/// element-identical at every shard and thread count; Random
+/// replacement (whose cache-global RNG makes set decomposition
+/// inexact) always replays sequentially.
+std::vector<MissEvent> collectMisses(const Trace &Execution,
+                                     const MissSpec &Spec,
+                                     const SimContext &Ctx = {});
 
 /// Aggregate view of a miss-stream simulation, for callers that need
 /// statistics but not the ordered event stream — the merge-elision
 /// fast path of the sharded engine: per-shard counters combine
 /// directly (addition is order-free), so no global miss order is ever
 /// reconstructed. Field-for-field consistent with the ordered
-/// collector: Events equals the stream length collectL1MissStream
-/// would return under the same options.
+/// collector: Events equals the stream length collectMisses would
+/// return under the same spec.
 struct MissStreamAggregates {
   uint64_t Accesses = 0;    ///< References replayed (the trace length).
   uint64_t Misses = 0;      ///< All missing accesses, loads and stores.
@@ -95,53 +111,20 @@ struct MissStreamAggregates {
   /// Entries the ordered collector would emit: load misses, plus store
   /// misses when MissStreamOptions::IncludeStores is set.
   uint64_t Events = 0;
-  /// Misses per (global) set index, size Geometry.numSets().
+  /// Misses per (global) set index, size L1.numSets().
   std::vector<uint64_t> PerSetMisses;
 
   bool operator==(const MissStreamAggregates &Other) const = default;
 };
 
-/// Replays \p Execution through an L1 cache of \p Geometry and \returns
-/// only aggregate statistics. With a sharding-capable \p Ctx the
-/// per-shard replays run in parallel and the ordered merge is elided
-/// entirely (Ctx.Stats counts the elisions); the returned aggregates
-/// are identical to those derived from the ordered collectors at every
-/// execution shape, including the sequential fallbacks (Random policy,
-/// short traces, no pool).
-MissStreamAggregates
-collectL1MissAggregates(const Trace &Execution, const CacheGeometry &Geometry,
-                        MissStreamOptions Options = {},
-                        const SimContext &Ctx = {});
-
-/// Set-sharded parallel variant of collectL1MissStream: partitions the
-/// trace by set index, simulates contiguous set ranges on \p Ctx's
-/// thread pool, and k-way merges the per-shard miss lists by global
-/// sequence number. The returned stream is element-identical to the
-/// sequential collector's at every shard and thread count. Falls back
-/// to the sequential path when \p Ctx has no pool, the trace is below
-/// Ctx.MinRefsToShard, the geometry has a single set, or the policy is
-/// Random (whose cache-global RNG makes set-decomposition inexact).
-std::vector<MissEvent>
-collectL1MissStreamParallel(const Trace &Execution,
-                            const CacheGeometry &Geometry,
-                            MissStreamOptions Options, const SimContext &Ctx);
-
-/// Set-sharded parallel variant of collectL2MissStream. The dominant
-/// cost — replaying the full trace through L1 — is sharded by L1 set.
-/// The merged L1 miss list then drives the page mapper sequentially
-/// (frame allocation is first-touch, so translation *order* is
-/// semantic and must follow global miss order), after which the
-/// translated stream is itself partitioned by L2 set and replayed
-/// sharded when it is long enough to clear Ctx.MinRefsToShard
-/// (Ctx.Stats->L2StageShardedSims counts those), sequentially
-/// otherwise. The emitted stream is byte-identical across every
-/// execution shape. Same fallback conditions as the L1 variant.
-std::vector<MissEvent>
-collectL2MissStreamParallel(const Trace &Execution,
-                            const CacheGeometry &L1Geometry,
-                            const CacheGeometry &L2Geometry,
-                            PageMapper &Mapper, MissStreamOptions Options,
-                            const SimContext &Ctx);
+/// collectMisses' merge-elided twin, L1 only (\p Spec.L2 must be
+/// unset): same dispatch, but sharded replays sum their counters
+/// instead of merging miss lists (Ctx.Stats counts the elisions). The
+/// aggregates are identical at every execution shape, including the
+/// sequential fallbacks.
+MissStreamAggregates collectMissAggregates(const Trace &Execution,
+                                           const MissSpec &Spec,
+                                           const SimContext &Ctx = {});
 
 } // namespace ccprof
 

@@ -90,13 +90,9 @@ void PerSetStackPass::addRef(uint64_t Addr) {
   const uint64_t Set = Reference.setIndexOf(Addr);
   assert(Window.contains(Set) && "reference outside the pass window");
   const uint64_t Line = Reference.lineAddrOf(Addr);
-  std::vector<uint64_t> &Stack = Stacks[Set - Window.Begin];
-
-  auto It = std::find(Stack.begin(), Stack.end(), Line);
-  if (It != Stack.end()) {
-    // Stack position == distinct same-set lines touched since last use.
-    Distances.add(static_cast<uint64_t>(It - Stack.begin()));
-    Stack.erase(It);
+  if (const std::optional<size_t> Depth =
+          touchMruStack(Stacks[Set - Window.Begin], Line, MaxWays)) {
+    Distances.add(*Depth);
   } else if (Seen.insert(Line).second) {
     ++Cold;
   } else {
@@ -105,9 +101,6 @@ void PerSetStackPass::addRef(uint64_t Addr) {
     // every queryable associativity.
     Distances.add(MaxWays);
   }
-  Stack.insert(Stack.begin(), Line);
-  if (Stack.size() > MaxWays)
-    Stack.pop_back();
 }
 
 //===----------------------------------------------------------------------===//
@@ -280,53 +273,29 @@ MissRatioCurve MrcEngine::compute(const Trace &T, const MrcOptions &Opts,
   // but independent of its siblings, so the curve matches streaming.
   if (Opts.Sampled) {
     MrcEngine Engine(Opts);
-    if (Engine.numSampleShards() >= 2 && Ctx.Pool &&
-        Records.size() >= Ctx.MinRefsToShard) {
-      const unsigned Helpers =
-          Ctx.Budget ? Ctx.Budget->tryAcquire(Ctx.Pool->workerCount())
-                     : Ctx.Pool->workerCount();
-      if (Helpers > 0) {
-        Engine.addTraceSampledParallel(T, *Ctx.Pool, Helpers);
-        if (Ctx.Budget)
-          Ctx.Budget->release(Helpers);
-        return Engine.take();
-      }
-    }
-    Engine.addTrace(T);
+    const ShardGrant Grant(Ctx, Engine.numSampleShards(), Records.size(),
+                           ShardGrant::Use::Uncounted);
+    if (Grant.helpers() > 0)
+      Engine.addTraceSampledParallel(T, *Ctx.Pool, Grant.helpers());
+    else
+      Engine.addTrace(T);
     return Engine.take();
   }
 
   // Tiny traces don't amortize a partition.
-  const bool Shardable =
-      Ctx.Pool && NumSets >= 2 && Records.size() >= Ctx.MinRefsToShard;
-  if (!Shardable) {
+  const ShardGrant Grant(Ctx, NumSets, Records.size());
+  if (!Grant.sharded()) {
     MrcEngine Engine(Opts);
     Engine.addTrace(T);
     return Engine.take();
   }
 
-  const unsigned Helpers = Ctx.Budget
-                               ? Ctx.Budget->tryAcquire(Ctx.Pool->workerCount())
-                               : Ctx.Pool->workerCount();
-  const unsigned Shards = static_cast<unsigned>(std::min<uint64_t>(
-      NumSets, Ctx.Shards != 0 ? Ctx.Shards : Helpers + 1));
-  if (Shards <= 1 && Helpers == 0) {
-    MrcEngine Engine(Opts);
-    Engine.addTrace(T);
-    return Engine.take();
-  }
-  if (Ctx.Stats && Shards > 1) {
-    Ctx.Stats->ShardedSims.fetch_add(1, std::memory_order_relaxed);
-    if (Helpers == 0)
-      Ctx.Stats->UnhelpedShardedSims.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const std::vector<SetRange> Plan = planShards(NumSets, Shards);
+  const std::vector<SetRange> Plan = planShards(NumSets, Grant.shards());
   // Served from the route-once cache when the batch runner registered
   // this trace: an MRC pass at the reference geometry shares its
   // partition with every simulation sweeping the same index geometry.
   const PartitionCache::PartitionPtr Parts =
-      routeOrReuse(Records, Opts.Reference, Plan, Ctx, Helpers);
+      routeOrReuse(Records, Opts.Reference, Plan, Ctx, Grant.helpers());
 
   // Task 0 is the whole-stream global pass (the Mattson curve cannot
   // decompose by set); tasks 1..K are the per-set shards. Each shard's
@@ -336,7 +305,7 @@ MissRatioCurve MrcEngine::compute(const Trace &T, const MrcOptions &Opts,
   // count and helper count.
   ReuseDistanceAnalyzer Global;
   std::vector<std::unique_ptr<PerSetStackPass>> Passes(Plan.size());
-  Ctx.Pool->parallelFor(Plan.size() + 1, Helpers, [&](size_t Task) {
+  Ctx.Pool->parallelFor(Plan.size() + 1, Grant.helpers(), [&](size_t Task) {
     if (Task == 0) {
       for (const MemoryRecord &R : Records)
         Global.access(Opts.Reference.lineAddrOf(R.Addr));
@@ -349,8 +318,6 @@ MissRatioCurve MrcEngine::compute(const Trace &T, const MrcOptions &Opts,
       Pass->addRef(Ref.Addr);
     Passes[S] = std::move(Pass);
   });
-  if (Ctx.Budget && Helpers > 0)
-    Ctx.Budget->release(Helpers);
 
   MissRatioCurve Curve;
   Curve.TotalRefs = Records.size();

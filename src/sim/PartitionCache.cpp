@@ -7,8 +7,6 @@
 
 #include "sim/PartitionCache.h"
 
-#include "support/ThreadPool.h"
-
 #include <cassert>
 
 using namespace ccprof;
@@ -128,15 +126,8 @@ ccprof::routeOrReuse(std::span<const MemoryRecord> Records,
                      const CacheGeometry &Geometry,
                      std::span<const SetRange> Plan, const SimContext &Ctx,
                      unsigned Helpers) {
-  auto Route = [&]() -> ShardPartition {
-    if (Helpers > 0) {
-      if (Ctx.Router == PartitionRouter::Fused)
-        return partitionBySetFused(Records, Geometry, Plan, *Ctx.Pool,
-                                   Helpers);
-      return partitionBySetParallel(Records, Geometry, Plan, *Ctx.Pool,
-                                    Helpers);
-    }
-    return partitionBySet(Records, Geometry, Plan);
+  auto Route = [&] {
+    return partitionBySet(Records, Geometry, Plan, Ctx.Pool, Helpers);
   };
 
   if (!Ctx.Partitions || Ctx.TraceId == 0) {

@@ -136,13 +136,13 @@ private:
   size_t ResidentBytes = 0;
 };
 
-/// The one entry point the collectors route through: produces the
+/// The one entry point every trace partition routes through (the
+/// collectors' stage-1 replays and the exact MRC pass): produces the
 /// partition of \p Records by \p Plan — served from Ctx.Partitions
 /// when the context carries a registered trace, routed on the spot
 /// otherwise. Routing runs block-parallel on Ctx.Pool when
-/// \p Helpers > 0 (via the router Ctx.Router selects), sequentially
-/// otherwise; the bytes are identical either way. Bumps
-/// Ctx.Stats->PartitionBuilds / PartitionReuses.
+/// \p Helpers > 0, inline otherwise; the bytes are identical either
+/// way. Bumps Ctx.Stats->PartitionBuilds / PartitionReuses.
 PartitionCache::PartitionPtr
 routeOrReuse(std::span<const MemoryRecord> Records,
              const CacheGeometry &Geometry, std::span<const SetRange> Plan,

@@ -25,12 +25,39 @@
 
 #include "support/Histogram.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 namespace ccprof {
+
+/// Touches \p Line on one cache set's MRU-first line stack, which
+/// holds at most \p MaxDepth lines: the line moves to the front, and a
+/// line new to the stack evicts the least recently used one when the
+/// stack is full. \returns the line's depth before the touch — the
+/// number of distinct same-set lines used since its last use, i.e. its
+/// per-set LRU stack distance — or std::nullopt when it was not on the
+/// stack (never seen, or fallen off the capped bottom).
+inline std::optional<size_t> touchMruStack(std::vector<uint64_t> &Stack,
+                                           uint64_t Line, size_t MaxDepth) {
+  assert(MaxDepth > 0 && "an MRU stack holds at least one line");
+  auto It = std::find(Stack.begin(), Stack.end(), Line);
+  std::optional<size_t> Depth;
+  if (It != Stack.end()) {
+    Depth = static_cast<size_t>(It - Stack.begin());
+  } else {
+    if (Stack.size() == MaxDepth)
+      Stack.pop_back();
+    Stack.push_back(Line);
+    It = Stack.end() - 1;
+  }
+  std::rotate(Stack.begin(), It, It + 1);
+  return Depth;
+}
 
 /// Streaming exact reuse-distance analyzer over cache-line addresses.
 class ReuseDistanceAnalyzer {

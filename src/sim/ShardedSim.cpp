@@ -115,43 +115,33 @@ void scatterChunk(std::span<const RecordT> Records, size_t Begin,
   }
 }
 
-template <typename RecordT>
-ShardPartition partitionImpl(std::span<const RecordT> Records,
-                             const CacheGeometry &Geometry,
-                             std::span<const SetRange> Plan) {
-  const ShardMap Map(Plan);
-  const size_t K = Plan.size();
-
-  ShardPartition Part;
-  Part.Offsets.assign(K + 1, 0);
-  // Count pass: exact shard sizes so the arena never regrows.
-  std::vector<size_t> Counts(K, 0);
-  countChunk(Records, 0, Records.size(), Geometry, Map, Counts.data());
-  for (size_t S = 0; S < K; ++S)
-    Part.Offsets[S + 1] = Part.Offsets[S] + Counts[S];
-
-  Part.Arena.resize(Records.size());
-  std::vector<size_t> Cursors(Part.Offsets.begin(), Part.Offsets.end() - 1);
-  scatterChunk(Records, 0, Records.size(), Geometry, Map, Part.Arena,
-               Cursors.data());
-  return Part;
-}
+} // namespace
 
 template <typename RecordT>
-ShardPartition partitionParallelImpl(std::span<const RecordT> Records,
-                                     const CacheGeometry &Geometry,
-                                     std::span<const SetRange> Plan,
-                                     ThreadPool &Pool, unsigned Helpers) {
+ShardPartition ccprof::partitionBySet(std::span<const RecordT> Records,
+                                      const CacheGeometry &Geometry,
+                                      std::span<const SetRange> Plan,
+                                      ThreadPool *Pool, unsigned Helpers) {
+  if (!Pool)
+    Helpers = 0;
   const ShardMap Map(Plan);
   const size_t K = Plan.size();
   const std::vector<size_t> Chunks =
-      planChunks(Records.size(), Helpers + 1, MinRecordsPerChunk);
+      Helpers == 0 ? std::vector<size_t>{0, Records.size()}
+                   : planChunks(Records.size(), Helpers + 1,
+                                MinRecordsPerChunk);
   const size_t NumChunks = Chunks.size() - 1;
+  auto ForEachChunk = [&](const std::function<void(size_t)> &Fn) {
+    if (Helpers == 0)
+      Fn(0);
+    else
+      Pool->parallelFor(NumChunks, Helpers, Fn);
+  };
 
-  // Pass 1 (parallel): per-chunk, per-shard routing counts. Each chunk
-  // owns one row of the counts matrix, so no write is shared.
+  // Pass 1: per-chunk, per-shard routing counts. Each chunk owns one
+  // row of the counts matrix, so no write is shared.
   std::vector<size_t> Counts(NumChunks * K, 0);
-  Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
+  ForEachChunk([&](size_t C) {
     countChunk(Records, Chunks[C], Chunks[C + 1], Geometry, Map,
                Counts.data() + C * K);
   });
@@ -173,9 +163,12 @@ ShardPartition partitionParallelImpl(std::span<const RecordT> Records,
   Part.Offsets[K] = Running;
   assert(Running == Records.size() && "partition must place every record");
 
-  // Pass 2 (parallel): scatter into disjoint, precomputed arena slots.
+  // Pass 2: scatter into disjoint, precomputed arena slots. Each chunk
+  // advances a private copy of its cursor row: rows of neighbouring
+  // chunks share cache lines, and a per-ref store to a shared line
+  // would bounce it between workers.
   Part.Arena.resize(Records.size());
-  Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
+  ForEachChunk([&](size_t C) {
     std::vector<size_t> Cursors(Starts.begin() + C * K,
                                 Starts.begin() + (C + 1) * K);
     scatterChunk(Records, Chunks[C], Chunks[C + 1], Geometry, Map,
@@ -184,99 +177,23 @@ ShardPartition partitionParallelImpl(std::span<const RecordT> Records,
   return Part;
 }
 
-} // namespace
-
-ShardPartition ccprof::partitionBySet(std::span<const MemoryRecord> Records,
-                                      const CacheGeometry &Geometry,
-                                      std::span<const SetRange> Plan) {
-  return partitionImpl(Records, Geometry, Plan);
-}
-
-ShardPartition
-ccprof::partitionBySetParallel(std::span<const MemoryRecord> Records,
-                               const CacheGeometry &Geometry,
-                               std::span<const SetRange> Plan,
-                               ThreadPool &Pool, unsigned Helpers) {
-  return partitionParallelImpl(Records, Geometry, Plan, Pool, Helpers);
-}
-
-ShardPartition ccprof::partitionRefsBySet(std::span<const ShardRef> Refs,
-                                          const CacheGeometry &Geometry,
-                                          std::span<const SetRange> Plan) {
-  return partitionImpl(Refs, Geometry, Plan);
-}
-
-ShardPartition
-ccprof::partitionRefsBySetParallel(std::span<const ShardRef> Refs,
-                                   const CacheGeometry &Geometry,
-                                   std::span<const SetRange> Plan,
-                                   ThreadPool &Pool, unsigned Helpers) {
-  return partitionParallelImpl(Refs, Geometry, Plan, Pool, Helpers);
-}
-
-ShardPartition
-ccprof::partitionBySetFused(std::span<const MemoryRecord> Records,
-                            const CacheGeometry &Geometry,
-                            std::span<const SetRange> Plan, ThreadPool &Pool,
-                            unsigned Helpers) {
-  const ShardMap Map(Plan);
-  const size_t K = Plan.size();
-  const std::vector<size_t> Chunks =
-      planChunks(Records.size(), Helpers + 1, MinRecordsPerChunk);
-  const size_t NumChunks = Chunks.size() - 1;
-
-  // Pass 1 (parallel): route each chunk exactly once, staging its refs
-  // in per-chunk per-shard rows. Within a row, global order is
-  // preserved; rows of different chunks never touch.
-  std::vector<std::vector<std::vector<ShardRef>>> Staged(NumChunks);
-  Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
-    std::vector<std::vector<ShardRef>> &Rows = Staged[C];
-    Rows.resize(K);
-    const size_t ChunkLen = Chunks[C + 1] - Chunks[C];
-    for (std::vector<ShardRef> &Row : Rows)
-      Row.reserve(ChunkLen / K + 16);
-    for (size_t I = Chunks[C]; I < Chunks[C + 1]; ++I) {
-      const MemoryRecord &Record = Records[I];
-      Rows[Map.shardOf(Geometry.setIndexOf(Record.Addr))].push_back(
-          ShardRef::make(I, Record.Addr, Record.IsWrite));
-    }
-  });
-
-  // Prefix sum over the staged row sizes fixes every row's arena slot,
-  // in the same (shard-major, chunk-ascending) order the count+scatter
-  // router uses — so the arena bytes come out identical.
-  ShardPartition Part;
-  Part.Offsets.assign(K + 1, 0);
-  std::vector<size_t> Starts(NumChunks * K, 0);
-  size_t Running = 0;
-  for (size_t S = 0; S < K; ++S) {
-    Part.Offsets[S] = Running;
-    for (size_t C = 0; C < NumChunks; ++C) {
-      Starts[C * K + S] = Running;
-      Running += Staged[C][S].size();
-    }
-  }
-  Part.Offsets[K] = Running;
-  assert(Running == Records.size() && "partition must place every record");
-
-  // Pass 2 (parallel): copy rows into their disjoint arena slices and
-  // free the staging as each chunk drains.
-  Part.Arena.resize(Records.size());
-  Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
-    for (size_t S = 0; S < K; ++S) {
-      std::vector<ShardRef> &Row = Staged[C][S];
-      std::copy(Row.begin(), Row.end(),
-                Part.Arena.begin() + Starts[C * K + S]);
-    }
-    Staged[C].clear();
-    Staged[C].shrink_to_fit();
-  });
-  return Part;
-}
+template ShardPartition
+ccprof::partitionBySet<MemoryRecord>(std::span<const MemoryRecord>,
+                                     const CacheGeometry &,
+                                     std::span<const SetRange>, ThreadPool *,
+                                     unsigned);
+template ShardPartition
+ccprof::partitionBySet<ShardRef>(std::span<const ShardRef>,
+                                 const CacheGeometry &,
+                                 std::span<const SetRange>, ThreadPool *,
+                                 unsigned);
 
 void ccprof::simulateShard(Cache &ShardCache, std::span<const ShardRef> Refs,
-                           std::vector<uint64_t> &MissSeqs) {
-  MissSeqs.clear();
+                           std::vector<uint64_t> &Out) {
+  // The list grows in a thread-local vector: the callers' per-shard
+  // output vectors sit side by side, and a push_back per miss into them
+  // would bounce their shared header cache line between the workers.
+  std::vector<uint64_t> MissSeqs;
   MissSeqs.reserve(Refs.size() / 4 + 16);
   // The tag rows of a shard's accesses are scattered across its window;
   // fetching a few iterations ahead hides the latency the SoA layout
@@ -290,6 +207,7 @@ void ccprof::simulateShard(Cache &ShardCache, std::span<const ShardRef> Refs,
     if (!ShardCache.access(R.Addr, R.isWrite()).Hit)
       MissSeqs.push_back(R.seq());
   }
+  Out = std::move(MissSeqs);
 }
 
 ShardAggregates
@@ -454,4 +372,46 @@ size_t ShardCachePool::parked() const {
 uint64_t ShardCachePool::reuses() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Reuses;
+}
+
+ShardGrant::ShardGrant(const SimContext &Ctx, uint64_t NumSets,
+                       uint64_t NumRefs, Use Counted) {
+  if (!Ctx.Pool || NumSets < 2 || NumRefs < Ctx.MinRefsToShard)
+    return;
+
+  // The grant asks the budget for every pool worker, not Shards - 1:
+  // partition chunks, merge segments, and the event rebuild all
+  // parallelize past the shard count, so slots beyond the replay's
+  // need still cut the serial fraction. Replay simply leaves extra
+  // workers idle (parallelFor hands out at most one token per shard).
+  Budget = Ctx.Budget;
+  Helpers = Budget ? Budget->tryAcquire(Ctx.Pool->workerCount())
+                   : Ctx.Pool->workerCount();
+  // An explicit shard count is honored even when no helper is idle
+  // (the caller's thread simulates every shard); an automatic count
+  // follows the grant so a lone thread skips partitioning entirely.
+  Shards = static_cast<unsigned>(std::min<uint64_t>(
+      NumSets, Ctx.Shards != 0 ? Ctx.Shards : Helpers + 1));
+  if (!Ctx.Stats || Shards <= 1)
+    return;
+  switch (Counted) {
+  case Use::Simulation:
+    Ctx.Stats->ShardedSims.fetch_add(1, std::memory_order_relaxed);
+    // Degraded mode: the shard count was forced but no helper showed
+    // up, so one thread replays every shard back to back. Bench sweeps
+    // read this to tell "sharded but unhelped" from real parallelism.
+    if (Helpers == 0)
+      Ctx.Stats->UnhelpedShardedSims.fetch_add(1, std::memory_order_relaxed);
+    break;
+  case Use::L2Stage:
+    Ctx.Stats->L2StageShardedSims.fetch_add(1, std::memory_order_relaxed);
+    break;
+  case Use::Uncounted:
+    break;
+  }
+}
+
+ShardGrant::~ShardGrant() {
+  if (Budget && Helpers > 0)
+    Budget->release(Helpers);
 }

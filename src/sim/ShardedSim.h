@@ -23,15 +23,15 @@
 /// Every stage is built to keep the serial fraction near zero (Amdahl
 /// is what sank the first sharded design — see DESIGN.md §7):
 /// partitioning is a block-parallel count + prefix-sum + scatter into
-/// one pre-sized flat arena (partitionBySetParallel), the k-way merge
-/// is a pairwise tournament whose rounds parallelize (mergeMissSeqs),
-/// and callers that only need aggregate statistics skip the merge
-/// entirely (simulateShardAggregates + the aggregate collectors in
-/// pmu/PebsEvent.h). ShardCachePool recycles windowed Cache instances
-/// across configurations in O(1) so repeated sharded runs do not
-/// reallocate state planes. The trace-facing collectors that put the
-/// pieces together live in pmu/PebsEvent.h; the thread-budget policy
-/// lives with the batch runner (pipeline/JobRunner.h).
+/// one pre-sized flat arena (partitionBySet), the k-way merge is a
+/// pairwise tournament whose rounds parallelize (mergeMissSeqs), and
+/// callers that only need aggregate statistics skip the merge entirely
+/// (simulateShardAggregates + collectMissAggregates in pmu/PebsEvent.h).
+/// ShardCachePool recycles windowed Cache instances across
+/// configurations in O(1) so repeated sharded runs do not reallocate
+/// state planes. ShardGrant is the one sharding gate every consumer
+/// (the collectors in pmu/PebsEvent.h, MrcEngine::compute) asks before
+/// fanning out.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,59 +113,32 @@ struct ShardPartition {
   }
 };
 
-/// Routes every record of \p Records into its shard per \p Plan,
-/// sequentially (count pass + fill pass in the calling thread).
-ShardPartition partitionBySet(std::span<const MemoryRecord> Records,
+/// Routes every entry of \p Records into its shard per \p Plan: a
+/// count pass sizes every shard, a prefix sum turns the chunk x shard
+/// counts into exact arena cursors, and a scatter pass fills the
+/// arena. \p RecordT is a MemoryRecord (a raw trace; the routed entry
+/// is minted from the record's global index) or a ShardRef (an
+/// already-routed stream, e.g. the merged L1 miss stream re-partitioned
+/// by L2 set; entries keep their SeqAndWrite payload and \p Geometry
+/// supplies the *target* level's index mapping). With a pool and
+/// helpers the trace is cut into contiguous chunks (planChunks) that
+/// count and scatter in parallel; with no pool or zero helpers one
+/// chunk runs inline. The arena is identical at every chunk grid and
+/// helper count — the cursors fix each entry's slot before any thread
+/// writes.
+template <typename RecordT>
+ShardPartition partitionBySet(std::span<const RecordT> Records,
                               const CacheGeometry &Geometry,
-                              std::span<const SetRange> Plan);
-
-/// Block-parallel partitionBySet: the trace is cut into contiguous
-/// chunks (planChunks), workers count each chunk's per-shard routing,
-/// a sequential prefix sum turns the chunk x shard counts into exact
-/// arena cursors, and workers scatter their chunks into disjoint arena
-/// slots. Record-for-record identical to the sequential partition at
-/// every chunk grid and helper count — the cursors fix each record's
-/// slot before any thread writes.
-ShardPartition partitionBySetParallel(std::span<const MemoryRecord> Records,
-                                      const CacheGeometry &Geometry,
-                                      std::span<const SetRange> Plan,
-                                      ThreadPool &Pool, unsigned Helpers);
-
-/// Fused single-pass variant of partitionBySetParallel: instead of the
-/// count + scatter double traversal, each chunk routes its records
-/// once into per-chunk per-shard staging rows, then a prefix sum over
-/// the staged sizes fixes arena slots and a second parallel pass
-/// copies rows out. Trades a full re-traversal of the trace for the
-/// staging rows' allocation and copy traffic — which side wins is a
-/// machine question, so the steady-state bench tier decides (see
-/// bench/sim_throughput --fused-router). Byte-identical output to the
-/// other routers at every chunk grid and helper count.
-ShardPartition partitionBySetFused(std::span<const MemoryRecord> Records,
-                                   const CacheGeometry &Geometry,
-                                   std::span<const SetRange> Plan,
-                                   ThreadPool &Pool, unsigned Helpers);
-
-/// partitionBySet over an already-routed ref stream (e.g. the merged
-/// L1 miss stream re-partitioned by L2 set for the stage-2 replay).
-/// Refs keep their original SeqAndWrite payload; \p Geometry supplies
-/// the *target* level's index mapping.
-ShardPartition partitionRefsBySet(std::span<const ShardRef> Refs,
-                                  const CacheGeometry &Geometry,
-                                  std::span<const SetRange> Plan);
-
-/// Block-parallel partitionRefsBySet; identical bytes at every chunk
-/// grid and helper count.
-ShardPartition partitionRefsBySetParallel(std::span<const ShardRef> Refs,
-                                          const CacheGeometry &Geometry,
-                                          std::span<const SetRange> Plan,
-                                          ThreadPool &Pool, unsigned Helpers);
+                              std::span<const SetRange> Plan,
+                              ThreadPool *Pool = nullptr,
+                              unsigned Helpers = 0);
 
 /// Replays \p Refs (all of which must map into \p ShardCache's window,
-/// in ascending seq order) and appends the global sequence number of
-/// every access that missed to \p MissSeqs. \p ShardCache must be
-/// freshly constructed or resetForReuse()'d.
+/// in ascending seq order) and replaces \p Out with the global sequence
+/// numbers of every access that missed. \p ShardCache must be freshly
+/// constructed or resetForReuse()'d.
 void simulateShard(Cache &ShardCache, std::span<const ShardRef> Refs,
-                   std::vector<uint64_t> &MissSeqs);
+                   std::vector<uint64_t> &Out);
 
 /// Counters of one shard replay when only totals are needed (the
 /// merge-elision fast path: no miss list is materialized at all).
@@ -267,14 +240,6 @@ struct ShardExecStats {
   std::atomic<uint64_t> L2StageShardedSims{0};
 };
 
-/// Which routing strategy the parallel partitioner uses; see
-/// partitionBySetFused for the trade. CountScatter is the measured
-/// default.
-enum class PartitionRouter {
-  CountScatter,
-  Fused,
-};
-
 /// Everything a miss-stream collector needs to go parallel. A
 /// default-constructed context (null pool) means "stay sequential";
 /// the batch runner owns one context per run and threads it through
@@ -301,10 +266,50 @@ struct SimContext {
   /// PartitionCache::registerTrace(). 0 (the default) means "unknown
   /// trace" and bypasses the cache even when Partitions is set.
   uint64_t TraceId = 0;
-  /// Routing strategy for parallel partition passes.
-  PartitionRouter Router = PartitionRouter::CountScatter;
 
   static constexpr uint64_t DefaultMinRefsToShard = 1 << 16;
+};
+
+/// The sharding gate's decision for one simulation, held for as long
+/// as the simulation runs. It applies the oversubscription policy —
+/// shard only with threads to spare: the budget hands out idle slots
+/// only, so while batch-level jobs cover the machine nothing is granted
+/// and the simulation stays sequential, and on the tail of a run the
+/// freed slots flow here and the job fans out. It picks the shard
+/// count, counts the decision in Ctx.Stats, and returns the granted
+/// helpers to the budget on destruction.
+class ShardGrant {
+public:
+  /// Which Ctx.Stats counters a sharded grant bumps.
+  enum class Use {
+    /// ShardedSims, plus UnhelpedShardedSims when no helper was idle.
+    Simulation,
+    /// L2StageShardedSims: the L2 stage-2 replay is a nested phase of
+    /// one collection, not a second simulation.
+    L2Stage,
+    /// Nothing: the helpers run SHARDS sample filters, not set shards.
+    Uncounted,
+  };
+
+  /// Grants nothing (one shard, no helper) without a pool, with fewer
+  /// than two sets, or below Ctx.MinRefsToShard.
+  ShardGrant(const SimContext &Ctx, uint64_t NumSets, uint64_t NumRefs,
+             Use Counted = Use::Simulation);
+  ~ShardGrant();
+  ShardGrant(const ShardGrant &) = delete;
+  ShardGrant &operator=(const ShardGrant &) = delete;
+
+  /// Set shards to cut; 1 = stay sequential.
+  unsigned shards() const { return Shards; }
+  /// Pool workers granted to help (budget slots held until release).
+  unsigned helpers() const { return Helpers; }
+  /// False when the gate chose the sequential path.
+  bool sharded() const { return Shards > 1 || Helpers > 0; }
+
+private:
+  ThreadBudget *Budget = nullptr;
+  unsigned Shards = 1;
+  unsigned Helpers = 0;
 };
 
 } // namespace ccprof

@@ -15,9 +15,9 @@
 //    mergeMissSeqs) against the scalar ReferenceCache oracle,
 //    including per-set miss counts gathered from windowed shard caches;
 //
-//  * the trace-facing parallel collectors against their sequential
-//    counterparts, across policies, store handling, L2 page mappings,
-//    and the Random-policy sequential fallback;
+//  * the trace-facing collector's sharded replays against its
+//    sequential replay, across policies, store handling, L2 page
+//    mappings, and the Random-policy sequential fallback;
 //
 //  * the batch runner: byte-identical serialized artifacts across
 //    Workers / SimThreads / Shards combinations.
@@ -95,6 +95,11 @@ partition(const Trace &T, const CacheGeometry &Geometry,
         ShardRef::make(I, R.Addr, R.IsWrite));
   }
   return Shards;
+}
+
+/// A spec of the test L1 alone, with \p Options.
+MissSpec l1Spec(MissStreamOptions Options = {}) {
+  return MissSpec{.L1 = testGeometry(), .Options = Options};
 }
 
 std::string serializeAll(const std::vector<JobOutcome> &Outcomes) {
@@ -216,7 +221,6 @@ TEST(CacheShardExactnessTest, WindowedCacheReuseIsExact) {
 }
 
 TEST(CacheShardExactnessTest, ParallelL1CollectorMatchesSequential) {
-  const CacheGeometry Geometry = testGeometry();
   const Trace T = makeTrace(60'000);
 
   ThreadPool Pool(3);
@@ -225,11 +229,9 @@ TEST(CacheShardExactnessTest, ParallelL1CollectorMatchesSequential) {
        {ReplacementKind::Lru, ReplacementKind::Fifo,
         ReplacementKind::TreePlru}) {
     for (bool IncludeStores : {false, true}) {
-      MissStreamOptions Options;
-      Options.Policy = Policy;
-      Options.IncludeStores = IncludeStores;
-      const std::vector<MissEvent> Sequential =
-          collectL1MissStream(T, Geometry, Options);
+      const MissSpec Spec =
+          l1Spec({.Policy = Policy, .IncludeStores = IncludeStores});
+      const std::vector<MissEvent> Sequential = collectMisses(T, Spec);
 
       for (unsigned Shards : {0u, 1u, 2u, 3u, 7u, 64u}) {
         ThreadBudget Budget(4);
@@ -239,8 +241,7 @@ TEST(CacheShardExactnessTest, ParallelL1CollectorMatchesSequential) {
         Ctx.CachePool = &CachePool;
         Ctx.Shards = Shards;
         Ctx.MinRefsToShard = 0;
-        EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-                  Sequential)
+        EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential)
             << "policy " << static_cast<int>(Policy) << ", stores "
             << IncludeStores << ", " << Shards << " shard(s)";
         // Every granted budget slot must have been returned.
@@ -259,13 +260,13 @@ TEST(CacheShardExactnessTest, ParallelL2CollectorMatchesSequential) {
   for (PagePolicy Mapping :
        {PagePolicy::Identity, PagePolicy::FirstTouch, PagePolicy::Shuffled}) {
     for (bool IncludeStores : {false, true}) {
-      MissStreamOptions Options;
-      Options.IncludeStores = IncludeStores;
       // Page mappers are stateful (first-touch order): each collector
-      // run gets its own, exactly as the profiler does.
-      PageMapper SeqMapper(Mapping);
-      const std::vector<MissEvent> Sequential =
-          collectL2MissStream(T, L1, L2, SeqMapper, Options);
+      // run builds its own from the spec's policy.
+      const MissSpec Spec{.L1 = L1,
+                          .L2 = L2,
+                          .Mapping = Mapping,
+                          .Options = {.IncludeStores = IncludeStores}};
+      const std::vector<MissEvent> Sequential = collectMisses(T, Spec);
 
       for (unsigned Shards : {2u, 7u}) {
         ThreadBudget Budget(4);
@@ -274,10 +275,7 @@ TEST(CacheShardExactnessTest, ParallelL2CollectorMatchesSequential) {
         Ctx.Budget = &Budget;
         Ctx.Shards = Shards;
         Ctx.MinRefsToShard = 0;
-        PageMapper ParMapper(Mapping);
-        EXPECT_EQ(
-            collectL2MissStreamParallel(T, L1, L2, ParMapper, Options, Ctx),
-            Sequential)
+        EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential)
             << "mapping " << static_cast<int>(Mapping) << ", stores "
             << IncludeStores << ", " << Shards << " shard(s)";
         EXPECT_EQ(Budget.available(), 4u);
@@ -287,10 +285,10 @@ TEST(CacheShardExactnessTest, ParallelL2CollectorMatchesSequential) {
 }
 
 TEST(CacheShardExactnessTest, L2StageTwoShardsWithExactAccounting) {
-  // The L2 collector's stage-2 replay shards by L2 set since the
-  // route-once rework; its grant must bump the dedicated counter — not
+  // An L2 collection's stage-2 replay shards by L2 set under a grant
+  // of its own; that grant must bump the dedicated counter — not
   // ShardedSims, which would double-count one collection — and the
-  // stream must stay identical to the sequential collector at every
+  // stream must stay identical to the sequential replay at every
   // shard shape and page mapping.
   const CacheGeometry L1 = testGeometry();
   const CacheGeometry L2(32 * 1024, 64, 4);
@@ -299,10 +297,8 @@ TEST(CacheShardExactnessTest, L2StageTwoShardsWithExactAccounting) {
   ThreadPool Pool(3);
   for (PagePolicy Mapping :
        {PagePolicy::Identity, PagePolicy::FirstTouch, PagePolicy::Shuffled}) {
-    MissStreamOptions Options;
-    PageMapper SeqMapper(Mapping);
-    const std::vector<MissEvent> Sequential =
-        collectL2MissStream(T, L1, L2, SeqMapper, Options);
+    const MissSpec Spec{.L1 = L1, .L2 = L2, .Mapping = Mapping};
+    const std::vector<MissEvent> Sequential = collectMisses(T, Spec);
 
     for (unsigned Shards : {2u, 4u, 7u}) {
       ThreadBudget Budget(4);
@@ -313,69 +309,35 @@ TEST(CacheShardExactnessTest, L2StageTwoShardsWithExactAccounting) {
       Ctx.Stats = &Stats;
       Ctx.Shards = Shards;
       Ctx.MinRefsToShard = 0;
-      PageMapper ParMapper(Mapping);
-      EXPECT_EQ(
-          collectL2MissStreamParallel(T, L1, L2, ParMapper, Options, Ctx),
-          Sequential)
+      EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential)
           << "mapping " << static_cast<int>(Mapping) << ", " << Shards
           << " shard(s)";
       EXPECT_EQ(Stats.ShardedSims.load(), 1u);          // stage 1 only
       EXPECT_EQ(Stats.L2StageShardedSims.load(), 1u);   // stage 2 only
       EXPECT_EQ(Budget.available(), 4u);
     }
-  }
-}
 
-TEST(CacheShardExactnessTest, FusedRouterProducesIdenticalPartitions) {
-  // The fused single-pass router must produce byte-for-byte the same
-  // arena and offsets as the count+scatter pass and the sequential
-  // reference, at every plan width and helper count.
-  const CacheGeometry Geometry = testGeometry();
-  const Trace T = makeTrace(50'000);
-  ThreadPool Pool(3);
-  for (unsigned ShardCount : {1u, 2u, 3u, 7u, 64u}) {
-    const std::vector<SetRange> Plan =
-        planShards(Geometry.numSets(), ShardCount);
-    const ShardPartition Sequential =
-        partitionBySet(T.records(), Geometry, Plan);
-    for (unsigned Helpers : {0u, 1u, 3u}) {
-      const ShardPartition Cs = partitionBySetParallel(
-          T.records(), Geometry, Plan, Pool, Helpers);
-      const ShardPartition Fused =
-          partitionBySetFused(T.records(), Geometry, Plan, Pool, Helpers);
-      EXPECT_EQ(Cs.Arena, Sequential.Arena)
-          << ShardCount << " shard(s), " << Helpers << " helper(s)";
-      EXPECT_EQ(Cs.Offsets, Sequential.Offsets);
-      EXPECT_EQ(Fused.Arena, Sequential.Arena)
-          << ShardCount << " shard(s), " << Helpers << " helper(s)";
-      EXPECT_EQ(Fused.Offsets, Sequential.Offsets);
-    }
+    // A gate the trace clears but its L1 miss stream does not: stage 1
+    // shards, stage 2 replays as one inline shard and is not counted.
+    ThreadBudget Budget(4);
+    ShardExecStats Stats;
+    SimContext Ctx;
+    Ctx.Pool = &Pool;
+    Ctx.Budget = &Budget;
+    Ctx.Stats = &Stats;
+    Ctx.MinRefsToShard = T.size();
+    EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential)
+        << "mapping " << static_cast<int>(Mapping) << ", inline stage 2";
+    EXPECT_EQ(Stats.ShardedSims.load(), 1u);
+    EXPECT_EQ(Stats.L2StageShardedSims.load(), 0u);
+    EXPECT_EQ(Budget.available(), 4u);
   }
-
-  // End to end: a collector run routed through the fused router is
-  // still exact.
-  MissStreamOptions Options;
-  Options.IncludeStores = true;
-  const std::vector<MissEvent> Sequential =
-      collectL1MissStream(T, Geometry, Options);
-  ThreadBudget Budget(4);
-  SimContext Ctx;
-  Ctx.Pool = &Pool;
-  Ctx.Budget = &Budget;
-  Ctx.Shards = 4;
-  Ctx.MinRefsToShard = 0;
-  Ctx.Router = PartitionRouter::Fused;
-  EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-            Sequential);
 }
 
 TEST(CacheShardExactnessTest, RandomPolicyFallsBackToSequential) {
-  const CacheGeometry Geometry = testGeometry();
   const Trace T = makeTrace(30'000);
-  MissStreamOptions Options;
-  Options.Policy = ReplacementKind::Random;
-  const std::vector<MissEvent> Sequential =
-      collectL1MissStream(T, Geometry, Options);
+  const MissSpec Spec = l1Spec({.Policy = ReplacementKind::Random});
+  const std::vector<MissEvent> Sequential = collectMisses(T, Spec);
 
   ThreadPool Pool(3);
   ThreadBudget Budget(4);
@@ -387,17 +349,13 @@ TEST(CacheShardExactnessTest, RandomPolicyFallsBackToSequential) {
   // Random draws from a cache-global RNG whose consumption order
   // depends on cross-set interleaving; the collector must refuse to
   // shard it and still reproduce the sequential stream.
-  EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-            Sequential);
+  EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential);
   EXPECT_EQ(Budget.available(), 4u);
 }
 
 TEST(CacheShardExactnessTest, ShortTracesStaySequential) {
-  const CacheGeometry Geometry = testGeometry();
   const Trace T = makeTrace(1'000);
-  MissStreamOptions Options;
-  const std::vector<MissEvent> Sequential =
-      collectL1MissStream(T, Geometry, Options);
+  const std::vector<MissEvent> Sequential = collectMisses(T, l1Spec());
 
   ThreadPool Pool(3);
   SimContext Ctx;
@@ -405,43 +363,45 @@ TEST(CacheShardExactnessTest, ShortTracesStaySequential) {
   Ctx.Shards = 4;
   // Default MinRefsToShard (64k) far exceeds the trace: the gate must
   // short-circuit without touching pool or budget, and stay exact.
-  EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-            Sequential);
+  EXPECT_EQ(collectMisses(T, l1Spec(), Ctx), Sequential);
 }
 
 TEST(CacheShardExactnessTest, BatchArtifactsAreByteIdenticalAcrossShapes) {
+  // Two workloads, so multi-worker shapes also run groups concurrently.
   BatchMatrix Matrix;
-  Matrix.Workloads = {"Symmetrization"};
+  Matrix.Workloads = {"Symmetrization", "NW"};
   Matrix.Periods = {606, 1212};
   Matrix.Levels = {ProfileLevel::L1, ProfileLevel::L2};
   const std::vector<JobSpec> Jobs = expandMatrix(Matrix);
   ASSERT_GE(Jobs.size(), 4u);
 
-  // Ground truth: the naive engine, one full simulation per job.
-  const std::string Naive = serializeAll(runJobs(Jobs, 1));
+  // Ground truth: the single-job reference, one full simulation per job.
+  std::vector<JobOutcome> Reference;
+  for (const JobSpec &Job : Jobs)
+    Reference.push_back(runJob(Job));
+  const std::string Expected = serializeAll(Reference);
 
-  // Legacy shared-trace entry point, sequential and threaded.
-  EXPECT_EQ(serializeAll(runJobsShared(Jobs, 1u)), Naive);
-  EXPECT_EQ(serializeAll(runJobsShared(Jobs, 2u)), Naive);
-
-  // The sharded engine at several execution shapes, forcing sharding
-  // on every simulation (MinRefsToShard = 0).
+  // The shared-trace engine at several execution shapes: sequential
+  // and threaded at the default shard gate, then forcing sharding on
+  // every simulation (MinRefsToShard = 0).
   const auto MakeExec = [](unsigned Workers, unsigned SimThreads,
-                           unsigned Shards) {
+                           unsigned Shards, uint64_t MinRefsToShard = 0) {
     BatchExecOptions Exec;
     Exec.Workers = Workers;
     Exec.SimThreads = SimThreads;
     Exec.Shards = Shards;
-    Exec.MinRefsToShard = 0;
+    Exec.MinRefsToShard = MinRefsToShard;
     return Exec;
   };
+  constexpr uint64_t DefaultGate = SimContext::DefaultMinRefsToShard;
   for (const BatchExecOptions &Exec :
-       {MakeExec(1, 4, 0), MakeExec(2, 4, 3), MakeExec(4, 2, 0),
+       {MakeExec(1, 1, 0, DefaultGate), MakeExec(2, 2, 0, DefaultGate),
+        MakeExec(1, 4, 0), MakeExec(2, 4, 3), MakeExec(4, 2, 0),
         MakeExec(1, 1, 5)}) {
     SharedBatchStats Stats;
     EXPECT_EQ(serializeAll(runJobsShared(Jobs, Exec, 0, nullptr, nullptr,
                                          &Stats)),
-              Naive)
+              Expected)
         << "Workers=" << Exec.Workers << " SimThreads=" << Exec.SimThreads
         << " Shards=" << Exec.Shards;
     EXPECT_GT(Stats.TraceGroups, 0u);
@@ -474,10 +434,10 @@ TEST(CacheShardExactnessTest, ParallelPartitionMatchesSequential) {
     }
 
     // The chunked parallel router must reproduce the sequential arena
-    // bit for bit at every helper count (0 = all chunks in the caller).
+    // bit for bit at every helper count (0 = one chunk in the caller).
     for (unsigned Helpers : {0u, 1u, 3u}) {
-      const ShardPartition Parallel = partitionBySetParallel(
-          T.records(), Geometry, Plan, Pool, Helpers);
+      const ShardPartition Parallel =
+          partitionBySet(T.records(), Geometry, Plan, &Pool, Helpers);
       EXPECT_EQ(Parallel.Offsets, Sequential.Offsets)
           << K << " shards, " << Helpers << " helper(s)";
       EXPECT_EQ(Parallel.Arena, Sequential.Arena)
@@ -533,13 +493,10 @@ TEST(CacheShardExactnessTest, AggregateCollectorMatchesStreamAggregates) {
        {ReplacementKind::Lru, ReplacementKind::Fifo,
         ReplacementKind::TreePlru}) {
     for (bool IncludeStores : {false, true}) {
-      MissStreamOptions Options;
-      Options.Policy = Policy;
-      Options.IncludeStores = IncludeStores;
-      const MissStreamAggregates Sequential =
-          collectL1MissAggregates(T, Geometry, Options);
-      const std::vector<MissEvent> Stream =
-          collectL1MissStream(T, Geometry, Options);
+      const MissSpec Spec =
+          l1Spec({.Policy = Policy, .IncludeStores = IncludeStores});
+      const MissStreamAggregates Sequential = collectMissAggregates(T, Spec);
+      const std::vector<MissEvent> Stream = collectMisses(T, Spec);
 
       // The sequential aggregates must agree with the ordered stream
       // and the reference model before they can anchor the sharded
@@ -569,8 +526,7 @@ TEST(CacheShardExactnessTest, AggregateCollectorMatchesStreamAggregates) {
         Ctx.Stats = &Stats;
         Ctx.Shards = Shards;
         Ctx.MinRefsToShard = 0;
-        EXPECT_EQ(collectL1MissAggregates(T, Geometry, Options, Ctx),
-                  Sequential)
+        EXPECT_EQ(collectMissAggregates(T, Spec, Ctx), Sequential)
             << "policy " << static_cast<int>(Policy) << ", stores "
             << IncludeStores << ", " << Shards << " shard(s)";
         EXPECT_EQ(Stats.ElidedMerges.load(), 1u);
@@ -581,11 +537,9 @@ TEST(CacheShardExactnessTest, AggregateCollectorMatchesStreamAggregates) {
 }
 
 TEST(CacheShardExactnessTest, UnhelpedExplicitShardsAreCountedDegraded) {
-  const CacheGeometry Geometry = testGeometry();
   const Trace T = makeTrace(70'000);
-  const MissStreamOptions Options;
-  const std::vector<MissEvent> Sequential =
-      collectL1MissStream(T, Geometry, Options);
+  const MissSpec Spec = l1Spec();
+  const std::vector<MissEvent> Sequential = collectMisses(T, Spec);
 
   ThreadPool Pool(3);
   ThreadBudget Budget(4);
@@ -603,8 +557,7 @@ TEST(CacheShardExactnessTest, UnhelpedExplicitShardsAreCountedDegraded) {
   // Automatic shard count on an exhausted budget: the gate declines to
   // shard at all, and nothing is counted.
   Ctx.Shards = 0;
-  EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-            Sequential);
+  EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential);
   EXPECT_EQ(Stats.ShardedSims.load(), 0u);
 
   // An explicit --shards 4 is still honored: the caller's thread
@@ -612,8 +565,7 @@ TEST(CacheShardExactnessTest, UnhelpedExplicitShardsAreCountedDegraded) {
   // serialized mode), the run is counted as sharded-but-unhelped, and
   // the stream stays byte-identical.
   Ctx.Shards = 4;
-  EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-            Sequential);
+  EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential);
   EXPECT_EQ(Stats.ShardedSims.load(), 1u);
   EXPECT_EQ(Stats.UnhelpedShardedSims.load(), 1u);
   EXPECT_EQ(Budget.available(), 0u) << "no slot may leak back";
@@ -621,8 +573,7 @@ TEST(CacheShardExactnessTest, UnhelpedExplicitShardsAreCountedDegraded) {
   // With the budget refilled the same context shards with helpers:
   // counted as sharded, not as degraded.
   Budget.release(4);
-  EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-            Sequential);
+  EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential);
   EXPECT_EQ(Stats.ShardedSims.load(), 2u);
   EXPECT_EQ(Stats.UnhelpedShardedSims.load(), 1u);
   EXPECT_EQ(Budget.available(), 4u);
@@ -675,18 +626,14 @@ TEST(CacheShardExactnessTest, ShardCachePoolBucketsByConfig) {
 }
 
 TEST(CacheShardExactnessTest, LargeTraceStreamIdenticalAcrossExecShapes) {
-  const CacheGeometry Geometry = testGeometry();
   // Well past MinRecordsPerChunk and MinRefsToShard: the partition
   // runs chunked, the merge runs pairwise, and the rebuild runs
   // scattered — every parallel stage is on its real code path.
   const Trace T = makeTrace(600'000);
-  MissStreamOptions Options;
-  Options.IncludeStores = true;
+  const MissSpec Spec = l1Spec({.IncludeStores = true});
 
-  const std::vector<MissEvent> Sequential =
-      collectL1MissStream(T, Geometry, Options);
-  const MissStreamAggregates SeqAgg =
-      collectL1MissAggregates(T, Geometry, Options);
+  const std::vector<MissEvent> Sequential = collectMisses(T, Spec);
+  const MissStreamAggregates SeqAgg = collectMissAggregates(T, Spec);
   ASSERT_EQ(SeqAgg.Events, Sequential.size());
 
   for (unsigned Workers : {1u, 2u, 3u}) {
@@ -700,10 +647,9 @@ TEST(CacheShardExactnessTest, LargeTraceStreamIdenticalAcrossExecShapes) {
       Ctx.CachePool = &CachePool;
       Ctx.Shards = Shards;
       Ctx.MinRefsToShard = 0;
-      EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-                Sequential)
+      EXPECT_EQ(collectMisses(T, Spec, Ctx), Sequential)
           << Workers << " worker(s), " << Shards << " shard(s)";
-      EXPECT_EQ(collectL1MissAggregates(T, Geometry, Options, Ctx), SeqAgg)
+      EXPECT_EQ(collectMissAggregates(T, Spec, Ctx), SeqAgg)
           << Workers << " worker(s), " << Shards << " shard(s)";
       EXPECT_EQ(Budget.available(), Workers + 1);
     }

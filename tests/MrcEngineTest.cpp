@@ -175,6 +175,53 @@ TEST(MrcEngineTest, CurveIsIdenticalAtEveryExecutionShape) {
   EXPECT_GT(Stats.ShardedSims, 0u);
 }
 
+TEST(MrcEngineTest, UnhelpedExplicitShardsAreCountedDegraded) {
+  // The exact pass shards under the same grant as the collectors: an
+  // explicit shard count is honored on an exhausted budget and counted
+  // as sharded-but-unhelped, a refilled budget shards with helpers,
+  // every granted slot comes back, and the curve never moves.
+  const Trace T = makeTrace(70'000);
+  const MrcOptions Opts;
+  const MissRatioCurve Sequential = MrcEngine::compute(T, Opts);
+  auto ExpectSequentialCurve = [&](const MissRatioCurve &Curve) {
+    EXPECT_TRUE(Curve.HasPerSet);
+    EXPECT_EQ(Curve.TotalRefs, Sequential.TotalRefs);
+    EXPECT_EQ(Curve.ColdWeight, Sequential.ColdWeight);
+    EXPECT_EQ(Curve.PerSetCold, Sequential.PerSetCold);
+    EXPECT_EQ(Curve.StackDistances.cdfSeries(),
+              Sequential.StackDistances.cdfSeries());
+    EXPECT_EQ(Curve.PerSetDistances.cdfSeries(),
+              Sequential.PerSetDistances.cdfSeries());
+  };
+
+  ThreadPool Pool(3);
+  ThreadBudget Budget(4);
+  // Drain the budget: every slot is busy elsewhere, exactly the state
+  // of a batch whose workers cover the machine.
+  ASSERT_EQ(Budget.tryAcquire(4), 4u);
+
+  ShardExecStats Stats;
+  SimContext Ctx;
+  Ctx.Pool = &Pool;
+  Ctx.Budget = &Budget;
+  Ctx.Stats = &Stats;
+  Ctx.Shards = 4;
+  Ctx.MinRefsToShard = 0;
+
+  ExpectSequentialCurve(MrcEngine::compute(T, Opts, Ctx));
+  EXPECT_EQ(Stats.ShardedSims.load(), 1u);
+  EXPECT_EQ(Stats.UnhelpedShardedSims.load(), 1u);
+  EXPECT_EQ(Budget.available(), 0u) << "no slot may leak back";
+
+  // With the budget refilled the same context shards with helpers:
+  // counted as sharded, not as degraded, and every slot returns.
+  Budget.release(4);
+  ExpectSequentialCurve(MrcEngine::compute(T, Opts, Ctx));
+  EXPECT_EQ(Stats.ShardedSims.load(), 2u);
+  EXPECT_EQ(Stats.UnhelpedShardedSims.load(), 1u);
+  EXPECT_EQ(Budget.available(), 4u);
+}
+
 TEST(MrcEngineTest, SampledCurveScalesAndStaysExactOnTotals) {
   const Trace T = makeTrace(100'000);
   MrcOptions Opts;

@@ -94,9 +94,9 @@ TEST(L2MissStreamTest, OnlyDoubleMissesBecomeEvents) {
   // second hits L1 (no event).
   T.recordLoad(S, 0x5000, 4);
   T.recordLoad(S, 0x5000, 4);
-  PageMapper M(PagePolicy::Identity);
-  auto Stream = collectL2MissStream(T, paperL1Geometry(),
-                                    CacheGeometry(256 * 1024, 64, 8), M);
+  auto Stream = collectMisses(T, {.L1 = paperL1Geometry(),
+                                  .L2 = CacheGeometry(256 * 1024, 64, 8),
+                                  .Mapping = PagePolicy::Identity});
   ASSERT_EQ(Stream.size(), 1u);
   EXPECT_EQ(Stream[0].VirtualAddr, 0x5000u);
 }
@@ -111,9 +111,9 @@ TEST(L2MissStreamTest, L1VictimCaughtByL2) {
   for (int Round = 0; Round < 2; ++Round)
     for (uint64_t Row = 0; Row < 16; ++Row)
       T.recordLoad(S, Row * L1.setStrideBytes(), 4);
-  PageMapper M(PagePolicy::Identity);
   CacheGeometry L2(256 * 1024, 64, 8); // set stride 32KiB
-  auto Stream = collectL2MissStream(T, L1, L2, M);
+  auto Stream = collectMisses(
+      T, {.L1 = L1, .L2 = L2, .Mapping = PagePolicy::Identity});
   EXPECT_EQ(Stream.size(), 16u) << "only the cold pass misses L2";
 }
 
@@ -121,9 +121,9 @@ TEST(L2MissStreamTest, EventsCarryPhysicalAddresses) {
   Trace T;
   SiteId S = T.site("x.cpp", 1, "");
   T.recordLoad(S, 0x80000, 4);
-  PageMapper M(PagePolicy::Shuffled);
-  auto Stream = collectL2MissStream(T, paperL1Geometry(),
-                                    CacheGeometry(256 * 1024, 64, 8), M);
+  auto Stream = collectMisses(T, {.L1 = paperL1Geometry(),
+                                  .L2 = CacheGeometry(256 * 1024, 64, 8),
+                                  .Mapping = PagePolicy::Shuffled});
   ASSERT_EQ(Stream.size(), 1u);
   EXPECT_EQ(Stream[0].VirtualAddr, 0x80000u);
   EXPECT_NE(Stream[0].Addr, Stream[0].VirtualAddr)

@@ -15,9 +15,9 @@
 //    evicts the most-recently-inserted entry, and trace release;
 //
 //  * routeOrReuse: byte-identical partitions at every helper count,
-//    cache on vs off, and both routers;
+//    cache on vs off;
 //
-//  * the collectors and the batch runner: identical miss streams and
+//  * the collector and the batch runner: identical miss streams and
 //    byte-identical artifacts with reuse on vs off, with exact
 //    build/reuse accounting on same-index-geometry sweeps.
 //
@@ -199,27 +199,22 @@ TEST(PartitionReuseTest, RouteOrReuseIsByteIdenticalAtEveryShape) {
 
   ThreadPool Pool(7);
   PartitionCache Cache;
-  for (PartitionRouter Router :
-       {PartitionRouter::CountScatter, PartitionRouter::Fused}) {
-    for (unsigned Helpers : {0u, 1u, 3u, 7u}) {
-      for (bool UseCache : {false, true}) {
-        SimContext Ctx;
-        Ctx.Pool = &Pool;
-        Ctx.Router = Router;
-        Ctx.Partitions = UseCache ? &Cache : nullptr;
-        // A fresh trace id per shape forces a rebuild even with the
-        // cache on, so every (router, helpers) pair routes for real.
-        Ctx.TraceId = UseCache ? Cache.registerTrace() : 0;
-        const PartitionCache::PartitionPtr Part =
-            routeOrReuse(T.records(), Geometry, Plan, Ctx, Helpers);
-        ASSERT_NE(Part, nullptr);
-        EXPECT_EQ(Part->Arena, Sequential.Arena)
-            << "router " << static_cast<int>(Router) << ", helpers "
-            << Helpers << ", cache " << UseCache;
-        EXPECT_EQ(Part->Offsets, Sequential.Offsets);
-        if (UseCache)
-          Cache.releaseTrace(Ctx.TraceId);
-      }
+  for (unsigned Helpers : {0u, 1u, 3u, 7u}) {
+    for (bool UseCache : {false, true}) {
+      SimContext Ctx;
+      Ctx.Pool = &Pool;
+      Ctx.Partitions = UseCache ? &Cache : nullptr;
+      // A fresh trace id per shape forces a rebuild even with the
+      // cache on, so every helper count routes for real.
+      Ctx.TraceId = UseCache ? Cache.registerTrace() : 0;
+      const PartitionCache::PartitionPtr Part =
+          routeOrReuse(T.records(), Geometry, Plan, Ctx, Helpers);
+      ASSERT_NE(Part, nullptr);
+      EXPECT_EQ(Part->Arena, Sequential.Arena)
+          << "helpers " << Helpers << ", cache " << UseCache;
+      EXPECT_EQ(Part->Offsets, Sequential.Offsets);
+      if (UseCache)
+        Cache.releaseTrace(Ctx.TraceId);
     }
   }
 }
@@ -256,10 +251,8 @@ TEST(PartitionReuseTest, SweepAcrossConfigsRoutesOnce) {
   Ctx.TraceId = Partitions.registerTrace();
 
   for (const SweepConfig &C : Configs) {
-    MissStreamOptions Options;
-    Options.Policy = C.Policy;
-    EXPECT_EQ(collectL1MissStreamParallel(T, C.Geometry, Options, Ctx),
-              collectL1MissStream(T, C.Geometry, Options));
+    const MissSpec Spec{.L1 = C.Geometry, .Options = {.Policy = C.Policy}};
+    EXPECT_EQ(collectMisses(T, Spec, Ctx), collectMisses(T, Spec));
   }
   Partitions.releaseTrace(Ctx.TraceId);
 
@@ -270,7 +263,7 @@ TEST(PartitionReuseTest, SweepAcrossConfigsRoutesOnce) {
 TEST(PartitionReuseTest, BatchArtifactsByteIdenticalWithReuseOnOrOff) {
   // An L1 + L2 matrix over one workload: the L2 jobs' stage-1 replay
   // shares the L1 jobs' index geometry, so the reuse run must report
-  // at least one cache hit while producing the naive path's bytes.
+  // at least one cache hit while producing the runJob reference bytes.
   BatchMatrix Matrix;
   Matrix.Workloads = {"Symmetrization"};
   Matrix.Periods = {606, 1212};
@@ -278,7 +271,10 @@ TEST(PartitionReuseTest, BatchArtifactsByteIdenticalWithReuseOnOrOff) {
   const std::vector<JobSpec> Jobs = expandMatrix(Matrix);
   ASSERT_GE(Jobs.size(), 4u);
 
-  const std::string Naive = serializeAll(runJobs(Jobs, 1));
+  std::vector<JobOutcome> Reference;
+  for (const JobSpec &Job : Jobs)
+    Reference.push_back(runJob(Job));
+  const std::string Expected = serializeAll(Reference);
 
   BatchExecOptions Exec;
   Exec.Workers = 1;
@@ -290,7 +286,7 @@ TEST(PartitionReuseTest, BatchArtifactsByteIdenticalWithReuseOnOrOff) {
   SharedBatchStats OffStats;
   EXPECT_EQ(serializeAll(runJobsShared(Jobs, Exec, 0, nullptr, nullptr,
                                        &OffStats)),
-            Naive);
+            Expected);
   EXPECT_EQ(OffStats.PartitionReuses, 0u);
   EXPECT_GT(OffStats.PartitionBuilds, 0u);
 
@@ -298,7 +294,7 @@ TEST(PartitionReuseTest, BatchArtifactsByteIdenticalWithReuseOnOrOff) {
   SharedBatchStats OnStats;
   EXPECT_EQ(serializeAll(runJobsShared(Jobs, Exec, 0, nullptr, nullptr,
                                        &OnStats)),
-            Naive);
+            Expected);
   EXPECT_GE(OnStats.PartitionReuses, 1u);
   EXPECT_LT(OnStats.PartitionBuilds, OffStats.PartitionBuilds);
 }

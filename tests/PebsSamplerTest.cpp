@@ -145,13 +145,12 @@ TEST(MissStreamTest, LoadsOnlyByDefault) {
   T.recordStore(S, 0x2000, 4);
   T.recordLoad(S, 0x1000, 4);
   CacheGeometry G(32 * 1024, 64, 8);
-  auto Stream = collectL1MissStream(T, G);
+  auto Stream = collectMisses(T, {.L1 = G});
   ASSERT_EQ(Stream.size(), 1u);
   EXPECT_EQ(Stream[0].Addr, 0x1000u);
 
-  MissStreamOptions WithStores;
-  WithStores.IncludeStores = true;
-  auto StreamAll = collectL1MissStream(T, G, WithStores);
+  auto StreamAll =
+      collectMisses(T, {.L1 = G, .Options = {.IncludeStores = true}});
   EXPECT_EQ(StreamAll.size(), 2u);
 }
 
@@ -161,7 +160,7 @@ TEST(MissStreamTest, StoresWarmTheCacheEvenWhenNotReported) {
   T.recordStore(S, 0x1000, 4); // store installs the line
   T.recordLoad(S, 0x1000, 4);  // load then hits: no event
   CacheGeometry G(32 * 1024, 64, 8);
-  EXPECT_TRUE(collectL1MissStream(T, G).empty());
+  EXPECT_TRUE(collectMisses(T, {.L1 = G}).empty());
 }
 
 TEST(MissStreamTest, ConflictingWalkEmitsRepeatedMisses) {
@@ -172,7 +171,7 @@ TEST(MissStreamTest, ConflictingWalkEmitsRepeatedMisses) {
   for (int Round = 0; Round < 2; ++Round)
     for (uint64_t L = 0; L < 16; ++L)
       T.recordLoad(S, L * G.setStrideBytes(), 4);
-  auto Stream = collectL1MissStream(T, G);
+  auto Stream = collectMisses(T, {.L1 = G});
   EXPECT_EQ(Stream.size(), 32u);
   for (const MissEvent &E : Stream)
     EXPECT_EQ(G.setIndexOf(E.Addr), 0u);

@@ -40,6 +40,23 @@ std::string serialize(const ProfileArtifact &Artifact) {
   return Stream.str();
 }
 
+/// The single-job reference: runJob over each job in turn.
+std::vector<JobOutcome> runEachJob(const std::vector<JobSpec> &Jobs) {
+  std::vector<JobOutcome> Outcomes;
+  for (const JobSpec &Job : Jobs)
+    Outcomes.push_back(runJob(Job));
+  return Outcomes;
+}
+
+/// \p Workers batch workers on a thread budget of the same size: set
+/// shards only appear when workers idle.
+BatchExecOptions workersOnly(unsigned Workers) {
+  BatchExecOptions Exec;
+  Exec.Workers = Workers;
+  Exec.SimThreads = Workers;
+  return Exec;
+}
+
 JobSpec symmetrizationJob() {
   JobSpec Job;
   Job.WorkloadName = "Symmetrization";
@@ -357,34 +374,13 @@ TEST(JobRunnerTest, ReportsUnknownWorkload) {
   EXPECT_NE(Outcome.Error.find("NoSuchWorkload"), std::string::npos);
 }
 
-TEST(JobRunnerTest, ParallelOutputIsByteIdenticalToSequential) {
-  BatchMatrix Matrix;
-  Matrix.Workloads = {"Symmetrization", "NW"};
-  Matrix.Repeats = 2;
-  std::vector<JobSpec> Jobs = expandMatrix(Matrix);
-  ASSERT_EQ(Jobs.size(), 4u);
-
-  std::vector<JobOutcome> Sequential = runJobs(Jobs, 1);
-  std::vector<JobOutcome> Parallel = runJobs(Jobs, 4);
-  ASSERT_EQ(Sequential.size(), Parallel.size());
-  for (size_t I = 0; I < Sequential.size(); ++I) {
-    ASSERT_TRUE(Sequential[I].ok()) << Sequential[I].Error;
-    ASSERT_TRUE(Parallel[I].ok()) << Parallel[I].Error;
-    EXPECT_EQ(Sequential[I].Job.key(), Parallel[I].Job.key());
-    EXPECT_EQ(serialize(Sequential[I].Artifact),
-              serialize(Parallel[I].Artifact))
-        << "job " << Jobs[I].key()
-        << " produced different bytes under parallel execution";
-  }
-}
-
 TEST(JobRunnerTest, ProgressCallbackSeesEveryJob) {
   BatchMatrix Matrix;
   Matrix.Workloads = {"Symmetrization"};
   Matrix.Repeats = 3;
   std::vector<JobSpec> Jobs = expandMatrix(Matrix);
   size_t Calls = 0, MaxDone = 0;
-  runJobs(Jobs, 2, 0, [&](const JobOutcome &, size_t Done) {
+  runJobsShared(Jobs, workersOnly(2), 0, [&](const JobOutcome &, size_t Done) {
     ++Calls;
     MaxDone = std::max(MaxDone, Done);
   });
@@ -399,9 +395,9 @@ TEST(JobRunnerTest, ProgressCallbackSeesEveryJob) {
 TEST(SharedTraceTest, OutputIsByteIdenticalToNaivePath) {
   // A sampling-period sweep across both cache levels: the configuration
   // the shared-trace engine is built for. Every artifact must serialize
-  // to exactly the bytes the naive one-simulation-per-job path emits —
-  // this is the pipeline's reproducibility contract (PR 1) carried over
-  // to the fast path.
+  // to exactly the bytes runJob, one simulation per job, emits — this
+  // is the pipeline's reproducibility contract carried over to the fast
+  // path.
   BatchMatrix Matrix;
   Matrix.Workloads = {"Symmetrization"};
   Matrix.Periods = {171, 603, 1212};
@@ -410,10 +406,10 @@ TEST(SharedTraceTest, OutputIsByteIdenticalToNaivePath) {
   std::vector<JobSpec> Jobs = expandMatrix(Matrix);
   ASSERT_EQ(Jobs.size(), 12u);
 
-  std::vector<JobOutcome> Naive = runJobs(Jobs, 1);
+  std::vector<JobOutcome> Naive = runEachJob(Jobs);
   SharedBatchStats Stats;
   std::vector<JobOutcome> Shared =
-      runJobsShared(Jobs, 4, 0, nullptr, nullptr, &Stats);
+      runJobsShared(Jobs, workersOnly(4), 0, nullptr, nullptr, &Stats);
 
   ASSERT_EQ(Naive.size(), Shared.size());
   for (size_t I = 0; I < Naive.size(); ++I) {
@@ -443,11 +439,11 @@ TEST(SharedTraceTest, ExactJobsShareStreamsWithSampledJobs) {
   std::vector<JobSpec> Jobs = {Sampled, Exact};
   SharedBatchStats Stats;
   std::vector<JobOutcome> Shared =
-      runJobsShared(Jobs, 1, 0, nullptr, nullptr, &Stats);
+      runJobsShared(Jobs, workersOnly(1), 0, nullptr, nullptr, &Stats);
   EXPECT_EQ(Stats.Streams.Misses, 1u);
   EXPECT_EQ(Stats.Streams.Hits, 1u);
 
-  std::vector<JobOutcome> Naive = runJobs(Jobs, 1);
+  std::vector<JobOutcome> Naive = runEachJob(Jobs);
   for (size_t I = 0; I < Jobs.size(); ++I)
     EXPECT_EQ(serialize(Naive[I].Artifact), serialize(Shared[I].Artifact));
 }

@@ -136,10 +136,6 @@ void printUsage(std::ostream &Out) {
          "R-perturbed)\n"
          "  --stamp                   record wall-clock provenance "
          "timestamps\n"
-         "  --no-reuse                disable the shared-trace engine "
-         "(one full\n"
-         "                            simulation per job; output is "
-         "byte-identical)\n"
          "  --stream-cache N          max resident miss streams "
          "(default 16)\n"
          "  --sim-threads N           total thread budget shared by "
@@ -925,9 +921,6 @@ struct BatchCliOptions {
   unsigned Jobs = 1;
   std::string OutDir = "ccprof-artifacts";
   bool Stamp = false;
-  /// Shared-trace engine on by default; --no-reuse restores the naive
-  /// one-simulation-per-job path (mainly for A/B measurement).
-  bool Reuse = true;
   size_t StreamCacheEntries = MissStreamCache::DefaultMaxEntries;
   /// Total thread budget (workers + shard helpers); 0 = hardware cores.
   unsigned SimThreads = 0;
@@ -1074,8 +1067,6 @@ BatchCliOptions parseBatchOptions(const std::vector<std::string> &Args) {
       Options.Matrix.Exact = true;
     } else if (Arg == "--stamp") {
       Options.Stamp = true;
-    } else if (Arg == "--no-reuse") {
-      Options.Reuse = false;
     } else if (Arg == "--stream-cache") {
       std::string Value = NextValue();
       if (Options.Ok)
@@ -1154,16 +1145,6 @@ int commandBatch(const std::string &Selection,
   BatchCliOptions Options = parseBatchOptions(Args);
   if (!Options.Ok)
     return 1;
-  if (Options.StaticScreen && !Options.Reuse) {
-    std::cerr << "error: --static-screen requires the shared-trace engine "
-                 "(drop --no-reuse)\n";
-    return 1;
-  }
-  if (Options.Mrc && !Options.Reuse) {
-    std::cerr << "error: --mrc requires the shared-trace engine "
-                 "(drop --no-reuse)\n";
-    return 1;
-  }
   if (Options.Mrc && Options.MrcSweep.empty())
     Options.MrcSweep = defaultMrcSweep();
 
@@ -1197,9 +1178,7 @@ int commandBatch(const std::string &Selection,
           : 0;
 
   std::cout << "batch: " << Jobs.size() << " job(s) on " << Options.Jobs
-            << " worker thread(s) -> " << Options.OutDir
-            << (Options.Reuse ? " (shared-trace engine)" : " (naive, --no-reuse)")
-            << '\n';
+            << " worker thread(s) -> " << Options.OutDir << '\n';
 
   auto Progress = [&](const JobOutcome &Outcome, size_t Done) {
     if (Outcome.Skipped)
@@ -1217,29 +1196,24 @@ int commandBatch(const std::string &Selection,
   };
 
   size_t Failures = 0;
-  std::vector<JobOutcome> Outcomes;
+  MissStreamCache StreamCache(Options.StreamCacheEntries);
+  BatchExecOptions Exec;
+  Exec.Workers = Options.Jobs;
+  Exec.SimThreads = Options.SimThreads;
+  Exec.Shards = Options.Shards;
+  Exec.StaticScreen = Options.StaticScreen;
+  Exec.Mrc = Options.Mrc;
+  Exec.MrcConfig.Sampled = Options.MrcSampled;
+  Exec.MrcConfig.SampleRate = Options.MrcRate;
+  Exec.MrcConfig.MaxSampledLines = Options.MrcReservoir;
+  Exec.MrcConfig.SampleShards = Options.MrcSampleShards;
+  Exec.MrcSweep = Options.MrcSweep;
+  Exec.PartitionReuse = Options.PartitionReuse;
+  Exec.PartitionCacheBytes = Options.PartitionCacheMb << 20;
   SharedBatchStats Shared;
   std::vector<MrcGroupCurve> Curves;
-  if (Options.Reuse) {
-    MissStreamCache StreamCache(Options.StreamCacheEntries);
-    BatchExecOptions Exec;
-    Exec.Workers = Options.Jobs;
-    Exec.SimThreads = Options.SimThreads;
-    Exec.Shards = Options.Shards;
-    Exec.StaticScreen = Options.StaticScreen;
-    Exec.Mrc = Options.Mrc;
-    Exec.MrcConfig.Sampled = Options.MrcSampled;
-    Exec.MrcConfig.SampleRate = Options.MrcRate;
-    Exec.MrcConfig.MaxSampledLines = Options.MrcReservoir;
-    Exec.MrcConfig.SampleShards = Options.MrcSampleShards;
-    Exec.MrcSweep = Options.MrcSweep;
-    Exec.PartitionReuse = Options.PartitionReuse;
-    Exec.PartitionCacheBytes = Options.PartitionCacheMb << 20;
-    Outcomes = runJobsShared(Jobs, Exec, Timestamp, Progress, &StreamCache,
-                             &Shared, &Curves);
-  } else {
-    Outcomes = runJobs(Jobs, Options.Jobs, Timestamp, Progress);
-  }
+  const std::vector<JobOutcome> Outcomes = runJobsShared(
+      Jobs, Exec, Timestamp, Progress, &StreamCache, &Shared, &Curves);
 
   // Persist sequentially in job order: output listing and directory
   // contents are deterministic regardless of completion order.
@@ -1299,43 +1273,41 @@ int commandBatch(const std::string &Selection,
     }
   }
 
-  if (Options.Reuse) {
-    const MissStreamCacheStats &S = Shared.Streams;
-    std::cout << "batch: " << Shared.TraceGroups << " trace group(s); "
-              << "miss-stream cache: " << S.Hits << " hit(s), " << S.Misses
-              << " simulation(s), " << S.Evictions << " eviction(s)";
-    if (Shared.ShardCacheReuses)
-      std::cout << "; shard caches reused " << Shared.ShardCacheReuses
-                << " time(s)";
-    if (Shared.ShardedSims) {
-      std::cout << "; " << Shared.ShardedSims << " sharded sim(s)";
-      // An explicit --shards on an exhausted budget still shards, but
-      // one thread replays every shard serially — call that out so a
-      // sweep over --shards is not mistaken for parallel execution.
-      if (Shared.UnhelpedShardedSims)
-        std::cout << ", " << Shared.UnhelpedShardedSims
-                  << " unhelped (serialized on one thread)";
-    }
-    if (Shared.PartitionBuilds || Shared.PartitionReuses)
-      std::cout << "; partitions: " << Shared.PartitionBuilds
-                << " routed, " << Shared.PartitionReuses
-                << " reused (route once, replay many)";
-    if (Options.StaticScreen)
-      std::cout << "; static screen skipped " << Shared.StaticSkipped
-                << " job(s) (" << Shared.StaticScreenedGroups
-                << " whole group(s), " << Shared.StaticScreenRefusals
-                << " refusal(s))";
-    if (Options.Mrc)
-      std::cout << "; mrc: " << Shared.MrcGroups << " curve(s) answered "
-                << Shared.MrcRoutedJobs << " job(s) in one pass";
-    std::cout << '\n';
-    if (!S.Entries.empty()) {
-      TextTable Streams({"stream", "hits", "events", "resident"});
-      for (const MissStreamCacheEntryStats &E : S.Entries)
-        Streams.addRow({E.Key, std::to_string(E.Hits),
-                        std::to_string(E.Events), E.Resident ? "yes" : "no"});
-      std::cout << Streams.render();
-    }
+  const MissStreamCacheStats &S = Shared.Streams;
+  std::cout << "batch: " << Shared.TraceGroups << " trace group(s); "
+            << "miss-stream cache: " << S.Hits << " hit(s), " << S.Misses
+            << " simulation(s), " << S.Evictions << " eviction(s)";
+  if (Shared.ShardCacheReuses)
+    std::cout << "; shard caches reused " << Shared.ShardCacheReuses
+              << " time(s)";
+  if (Shared.ShardedSims) {
+    std::cout << "; " << Shared.ShardedSims << " sharded sim(s)";
+    // An explicit --shards on an exhausted budget still shards, but
+    // one thread replays every shard serially — call that out so a
+    // sweep over --shards is not mistaken for parallel execution.
+    if (Shared.UnhelpedShardedSims)
+      std::cout << ", " << Shared.UnhelpedShardedSims
+                << " unhelped (serialized on one thread)";
+  }
+  if (Shared.PartitionBuilds || Shared.PartitionReuses)
+    std::cout << "; partitions: " << Shared.PartitionBuilds
+              << " routed, " << Shared.PartitionReuses
+              << " reused (route once, replay many)";
+  if (Options.StaticScreen)
+    std::cout << "; static screen skipped " << Shared.StaticSkipped
+              << " job(s) (" << Shared.StaticScreenedGroups
+              << " whole group(s), " << Shared.StaticScreenRefusals
+              << " refusal(s))";
+  if (Options.Mrc)
+    std::cout << "; mrc: " << Shared.MrcGroups << " curve(s) answered "
+              << Shared.MrcRoutedJobs << " job(s) in one pass";
+  std::cout << '\n';
+  if (!S.Entries.empty()) {
+    TextTable Streams({"stream", "hits", "events", "resident"});
+    for (const MissStreamCacheEntryStats &E : S.Entries)
+      Streams.addRow({E.Key, std::to_string(E.Hits),
+                      std::to_string(E.Events), E.Resident ? "yes" : "no"});
+    std::cout << Streams.render();
   }
 
   std::cout << "batch: wrote "
