@@ -22,8 +22,9 @@
 // drop six of the seven workloads, which left a one-row BENCH_mrc.json
 // behind whenever a smoke run was the last writer); `--gate` exits
 // nonzero if the sampled pass's speedup over the per-config sweep
-// drops below 2.0x on any workload — the min across all rows — or the
-// SHARDS curve error exceeds the documented 0.05 bound.
+// drops below 2.0x or the exact pass's below 1.5x on any workload —
+// the min across all rows — or the SHARDS curve error exceeds the
+// documented 0.05 bound.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +53,7 @@ using Clock = std::chrono::steady_clock;
 constexpr double ShardsRate = 0.25;
 constexpr double ShardsBound = 0.05;
 constexpr double SpeedupFloor = 2.0;
+constexpr double ExactSpeedupFloor = 1.5;
 /// Timing repeats per measurement; --smoke drops this to 1 (the
 /// workload set never shrinks — every mode emits all rows).
 int Repeats = 3;
@@ -78,6 +80,9 @@ struct WorkloadResult {
 
   double exactSpeedup() const { return SimSeconds / ExactSeconds; }
   double shardsSpeedup() const { return SimSeconds / ShardsSeconds; }
+  double exactRefsPerSecond() const {
+    return static_cast<double>(Refs) / ExactSeconds;
+  }
 };
 
 /// Min-of-repeats wall clock of \p Fn (min filters scheduler noise).
@@ -190,6 +195,7 @@ int main(int Argc, char **Argv) {
           << ", \"sim_seconds\": " << fixed(R.SimSeconds, 6)
           << ", \"exact_mrc_seconds\": " << fixed(R.ExactSeconds, 6)
           << ", \"shards_mrc_seconds\": " << fixed(R.ShardsSeconds, 6)
+          << ", \"exact_refs_per_s\": " << fixed(R.exactRefsPerSecond(), 0)
           << ", \"exact_speedup\": " << fixed(R.exactSpeedup(), 3)
           << ", \"shards_speedup\": " << fixed(R.shardsSpeedup(), 3)
           << ", \"shards_max_abs_err\": " << fixed(R.MaxAbsError, 6) << "}"
@@ -199,22 +205,25 @@ int main(int Argc, char **Argv) {
         << ",\n  \"min_shards_speedup\": " << fixed(MinShardsSpeedup, 3)
         << ",\n  \"max_abs_err\": " << fixed(MaxError, 6)
         << ",\n  \"gate_speedup_floor\": " << fixed(SpeedupFloor, 2)
+        << ",\n  \"gate_exact_floor\": " << fixed(ExactSpeedupFloor, 2)
         << ",\n  \"gate_error_bound\": " << fixed(ShardsBound, 2) << "\n}\n";
   }
 
   if (!Json) {
     TextTable Table({"workload", "refs", "sim(s)", "exact(s)", "shards(s)",
-                     "exact x", "shards x", "max err"});
+                     "exact Mref/s", "exact x", "shards x", "max err"});
     for (const WorkloadResult &R : Results)
       Table.addRow({R.Name, std::to_string(R.Refs), fixed(R.SimSeconds, 4),
                     fixed(R.ExactSeconds, 4), fixed(R.ShardsSeconds, 4),
+                    fixed(R.exactRefsPerSecond() / 1e6, 1),
                     fixed(R.exactSpeedup(), 2), fixed(R.shardsSpeedup(), 2),
                     fixed(R.MaxAbsError, 4)});
     std::cout << "mrc_throughput: one MRC pass vs " << Sweep.size()
               << " per-config L1 simulations (SHARDS rate "
               << fixed(ShardsRate, 2) << ")\n"
               << Table.render()
-              << "min shards speedup " << fixed(MinShardsSpeedup, 2)
+              << "min exact speedup " << fixed(MinExactSpeedup, 2)
+              << "x, min shards speedup " << fixed(MinShardsSpeedup, 2)
               << "x, max abs err " << fixed(MaxError, 4) << '\n';
   }
 
@@ -225,6 +234,12 @@ int main(int Argc, char **Argv) {
                 << "x below the " << fixed(SpeedupFloor, 1) << "x floor\n";
       Failed = true;
     }
+    if (MinExactSpeedup < ExactSpeedupFloor) {
+      std::cerr << "GATE FAIL: exact speedup " << fixed(MinExactSpeedup, 2)
+                << "x below the " << fixed(ExactSpeedupFloor, 1)
+                << "x floor\n";
+      Failed = true;
+    }
     if (MaxError > ShardsBound) {
       std::cerr << "GATE FAIL: shards curve error " << fixed(MaxError, 4)
                 << " above the " << fixed(ShardsBound, 2) << " bound\n";
@@ -233,6 +248,7 @@ int main(int Argc, char **Argv) {
     if (Failed)
       return 1;
     std::cout << "gate ok: shards speedup >= " << fixed(SpeedupFloor, 1)
+              << "x, exact speedup >= " << fixed(ExactSpeedupFloor, 1)
               << "x, error <= " << fixed(ShardsBound, 2) << '\n';
   }
   return 0;

@@ -33,7 +33,8 @@ SetOccupancyTracker::SetOccupancyTracker(const CacheGeometry &Geometry,
       InWindow(Geometry.numSets()), Occupancy(Geometry.numSets(), 0),
       Peak(Geometry.numSets(), 0), PerSet(Geometry.numSets(), 0),
       Lines(Geometry.numSets(), 0), Worst(Window),
-      MruStack(Geometry.numSets()) {
+      MruStack(Geometry.numSets() * Geometry.associativity()),
+      MruFill(Geometry.numSets(), 0) {
   Ring.reserve(Window);
 }
 
@@ -77,7 +78,10 @@ uint64_t SetOccupancyTracker::access(uint64_t Addr) {
   // the access-count window over-evicts sparse-line streams (many
   // accesses, few lines) that a real cache keeps resident; it serves
   // as the thrash-vs-capacity classifier instead.
-  LastWasResident = touchMruStack(MruStack[Set], Line, Ways).has_value();
+  LastWasResident =
+      touchMruStack(std::span(MruStack.data() + Set * Ways, Ways),
+                    MruFill[Set], Line)
+          .has_value();
 
   LastWasNewLine = SeenLines.emplace(Line, 0).second;
   if (LastWasNewLine) {
@@ -96,8 +100,7 @@ void SetOccupancyTracker::resetWindow() {
   for (auto &Map : InWindow)
     Map.clear();
   std::fill(Occupancy.begin(), Occupancy.end(), 0);
-  for (std::vector<uint64_t> &Stack : MruStack)
-    Stack.clear();
+  std::fill(MruFill.begin(), MruFill.end(), 0);
   SetsInWindow = 0;
   CurOver = 0;
   LastWasNewLine = false;

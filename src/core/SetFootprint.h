@@ -122,8 +122,11 @@ private:
   bool LastWasInWindow = false;
   bool LastWasResident = false;
   /// Per-set MRU stacks of the `associativity` most recent lines: the
-  /// predicted residency under LRU replacement.
-  std::vector<std::vector<uint64_t>> MruStack;
+  /// predicted residency under LRU replacement. Set s owns the
+  /// `associativity` slots starting at s * associativity, of which the
+  /// first MruFill[s] are in use.
+  std::vector<uint64_t> MruStack;
+  std::vector<uint32_t> MruFill;
   /// Global set of lines ever seen (for cold-line classification).
   std::unordered_map<uint64_t, char> SeenLines;
 };

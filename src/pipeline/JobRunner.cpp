@@ -23,6 +23,22 @@
 
 using namespace ccprof;
 
+namespace {
+
+/// Runs \p Variant of \p W and returns its canonical trace. The
+/// recorded trace dies here, as soon as it has been rebased, so it is
+/// not held through the simulations and MRC passes that read only the
+/// canonical one.
+Trace recordCanonicalTrace(Workload &W, WorkloadVariant Variant) {
+  Trace Recorded;
+  W.run(Variant, &Recorded);
+  // Rebase onto the deterministic canonical layout: artifacts must not
+  // depend on where this process's allocator happened to place buffers.
+  return canonicalizeTrace(Recorded);
+}
+
+} // namespace
+
 JobOutcome ccprof::runJob(const JobSpec &Job, uint64_t TimestampNs) {
   JobOutcome Outcome;
   Outcome.Job = Job;
@@ -33,11 +49,7 @@ JobOutcome ccprof::runJob(const JobSpec &Job, uint64_t TimestampNs) {
     return Outcome;
   }
 
-  Trace Recorded;
-  W->run(Job.Variant, &Recorded);
-  // Rebase onto the deterministic canonical layout: artifacts must not
-  // depend on where this process's allocator happened to place buffers.
-  Trace T = canonicalizeTrace(Recorded);
+  const Trace T = recordCanonicalTrace(*W, Job.Variant);
 
   BinaryImage Image = W->makeBinary();
   ProgramStructure Structure(Image);
@@ -273,11 +285,8 @@ std::vector<JobOutcome> ccprof::runJobsShared(
       }
 
       // The expensive shared phase, once per group: run the workload,
-      // record its references, canonicalize, recover the program
-      // structure.
-      Trace Recorded;
-      W->run(First.Variant, &Recorded);
-      Trace T = canonicalizeTrace(Recorded);
+      // record its references, canonicalize.
+      const Trace T = recordCanonicalTrace(*W, First.Variant);
 
       // A per-group context carrying the group trace's identity: every
       // simulation and MRC pass of this group routes through the

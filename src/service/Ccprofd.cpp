@@ -39,6 +39,11 @@ constexpr size_t MaxUploadBytes = 256u << 20;
 
 constexpr const char *TraceExtension = ".cctr";
 
+/// Longest request header line accepted. Real headers are well under a
+/// hundred bytes; the cap bounds what a client that never sends '\n'
+/// can make the daemon buffer.
+constexpr size_t MaxLineBytes = 4096;
+
 /// Buffered line/exact reader over a socket fd. read(2) on the
 /// accepted fd carries a receive timeout (set at accept), so a stalled
 /// client unblocks the daemon instead of wedging it.
@@ -46,6 +51,8 @@ struct FdReader {
   int Fd = -1;
   std::string Buf;
   size_t Pos = 0;
+  /// Set when readLine failed because the line passed MaxLineBytes.
+  bool LineTooLong = false;
 
   bool fill() {
     char Tmp[4096];
@@ -63,15 +70,20 @@ struct FdReader {
     }
   }
 
-  /// Reads up to a '\n' (not included). \returns false on EOF/timeout.
+  /// Reads up to a '\n' (not included). \returns false on EOF/timeout,
+  /// or with LineTooLong set once MaxLineBytes pass without a '\n'.
   bool readLine(std::string &Line) {
     for (;;) {
       const size_t Nl = Buf.find('\n', Pos);
-      if (Nl != std::string::npos) {
+      if (Nl != std::string::npos && Nl - Pos <= MaxLineBytes) {
         Line = Buf.substr(Pos, Nl - Pos);
         Pos = Nl + 1;
         compact();
         return true;
+      }
+      if (Nl != std::string::npos || Buf.size() - Pos > MaxLineBytes) {
+        LineTooLong = true;
+        return false;
       }
       if (!fill())
         return false;
@@ -89,9 +101,11 @@ struct FdReader {
   }
 };
 
+/// Sends with MSG_NOSIGNAL: a client that hangs up before reading its
+/// reply costs an EPIPE here, never a SIGPIPE that kills the daemon.
 bool writeAll(int Fd, std::string_view Bytes) {
   while (!Bytes.empty()) {
-    const ssize_t N = ::write(Fd, Bytes.data(), Bytes.size());
+    const ssize_t N = ::send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL);
     if (N <= 0)
       return false;
     Bytes.remove_prefix(static_cast<size_t>(N));
@@ -379,7 +393,13 @@ void Ccprofd::handleConnection(int Fd) {
   FdReader Reader;
   Reader.Fd = Fd;
   std::string Line;
-  while (!Stopping.load() && Reader.readLine(Line)) {
+  while (!Stopping.load()) {
+    if (!Reader.readLine(Line)) {
+      // The request framing is lost past an oversized line.
+      if (Reader.LineTooLong)
+        writeAll(Fd, "ERR line too long\n");
+      return;
+    }
     std::istringstream Tokens(Line);
     std::string Command;
     Tokens >> Command;

@@ -15,6 +15,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 using namespace ccprof;
 
@@ -84,24 +85,61 @@ double MissRatioCurve::modelMissRatioAt(const CacheGeometry &Geometry) const {
 PerSetStackPass::PerSetStackPass(const CacheGeometry &Reference,
                                  uint32_t MaxWays, SetRange Window)
     : Reference(Reference), MaxWays(MaxWays), Window(Window),
-      Stacks(Window.size()) {}
+      Stacks(Window.size() * MaxWays), Fill(Window.size(), 0),
+      DepthCounts(MaxWays, 0) {
+  assert(MaxWays > 0 && "an MRU stack holds at least one line");
+}
 
 void PerSetStackPass::addRef(uint64_t Addr) {
   const uint64_t Set = Reference.setIndexOf(Addr);
   assert(Window.contains(Set) && "reference outside the pass window");
-  const uint64_t Line = Reference.lineAddrOf(Addr);
+  const size_t Slot = Set - Window.Begin;
+  const std::span<uint64_t> Stack(Stacks.data() + Slot * MaxWays, MaxWays);
   if (const std::optional<size_t> Depth =
-          touchMruStack(Stacks[Set - Window.Begin], Line, MaxWays)) {
-    Distances.add(*Depth);
-  } else if (Seen.insert(Line).second) {
-    ++Cold;
-  } else {
-    // Previously seen but fallen off the capped stack: the true per-set
-    // distance is >= MaxWays; the sentinel bucket keeps it a miss at
-    // every queryable associativity.
-    Distances.add(MaxWays);
-  }
+          touchMruStack(Stack, Fill[Slot], Reference.lineAddrOf(Addr)))
+    ++DepthCounts[*Depth];
+  else
+    ++OffStack;
 }
+
+namespace {
+
+/// The exact curve of \p TotalRefs references from the global pass and
+/// the per-set passes that together cover every set once. Off-stack
+/// references split into the global cold count — a line's first touch
+/// is its first touch in its set — and the MaxWays sentinel bucket:
+/// lines that fell off their set's capped stack, whose true per-set
+/// distance is >= MaxWays and which miss at every queryable
+/// associativity.
+MissRatioCurve exactCurve(uint64_t TotalRefs, const MrcOptions &Opts,
+                          const ReuseDistanceAnalyzer &Global,
+                          std::span<const PerSetStackPass> PerSet) {
+  MissRatioCurve Curve;
+  Curve.TotalRefs = TotalRefs;
+  Curve.Reference = Opts.Reference;
+  Curve.MaxWays = Opts.MaxWays;
+  Curve.Sampled = false;
+  Curve.ColdWeight = Global.coldCount();
+  Curve.StackDistances = Global.distances();
+  Curve.HasPerSet = true;
+  Curve.PerSetCold = Global.coldCount();
+  Curve.FinalRate = 1.0;
+
+  std::vector<uint64_t> Depths(Opts.MaxWays + 1, 0);
+  uint64_t OffStack = 0;
+  for (const PerSetStackPass &Pass : PerSet) {
+    for (size_t D = 0; D < Opts.MaxWays; ++D)
+      Depths[D] += Pass.depthCounts()[D];
+    OffStack += Pass.offStackCount();
+  }
+  assert(OffStack >= Curve.PerSetCold && "every cold reference is off-stack");
+  Depths[Opts.MaxWays] = OffStack - Curve.PerSetCold;
+  for (size_t D = 0; D < Depths.size(); ++D)
+    Curve.PerSetDistances.add(D, Depths[D]);
+  return Curve;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // MrcEngine
@@ -232,34 +270,27 @@ void MrcEngine::addTraceSampledParallel(const Trace &T, ThreadPool &Pool,
 }
 
 MissRatioCurve MrcEngine::take() {
+  if (!Opts.Sampled)
+    return exactCurve(TotalRefs, Opts, Global, std::span(&PerSet, 1));
+
+  // Per-shard inserts were already scaled to full-stream units, so the
+  // merge is a plain sum. The reported rate is the merged filter's
+  // tracked fraction of line space: each shard contributes its
+  // threshold rate over a 1/NumShards slice. Equals the single filter's
+  // threshold rate at one shard.
   MissRatioCurve Curve;
   Curve.TotalRefs = TotalRefs;
   Curve.Reference = Opts.Reference;
   Curve.MaxWays = Opts.MaxWays;
-  Curve.Sampled = Opts.Sampled;
-  if (Opts.Sampled) {
-    // Per-shard inserts were already scaled to full-stream units, so
-    // the merge is a plain sum. The reported rate is the merged
-    // filter's tracked fraction of line space: each shard contributes
-    // its threshold rate over a 1/NumShards slice. Equals the single
-    // filter's threshold rate at one shard.
-    double TrackedFraction = 0.0;
-    for (SampledShard &Shard : SampledShards) {
-      Curve.ColdWeight += Shard.ScaledCold;
-      Curve.StackDistances.merge(Shard.ScaledStack);
-      TrackedFraction +=
-          Shard.rate() / static_cast<double>(numSampleShards());
-    }
-    Curve.HasPerSet = false;
-    Curve.FinalRate = TrackedFraction;
-  } else {
-    Curve.ColdWeight = Global.coldCount();
-    Curve.StackDistances = Global.distances();
-    Curve.PerSetDistances = PerSet.distances();
-    Curve.PerSetCold = PerSet.coldCount();
-    Curve.HasPerSet = true;
-    Curve.FinalRate = 1.0;
+  Curve.Sampled = true;
+  double TrackedFraction = 0.0;
+  for (SampledShard &Shard : SampledShards) {
+    Curve.ColdWeight += Shard.ScaledCold;
+    Curve.StackDistances.merge(Shard.ScaledStack);
+    TrackedFraction += Shard.rate() / static_cast<double>(numSampleShards());
   }
+  Curve.HasPerSet = false;
+  Curve.FinalRate = TrackedFraction;
   return Curve;
 }
 
@@ -300,36 +331,22 @@ MissRatioCurve MrcEngine::compute(const Trace &T, const MrcOptions &Opts,
   // Task 0 is the whole-stream global pass (the Mattson curve cannot
   // decompose by set); tasks 1..K are the per-set shards. Each shard's
   // refs arrive in ascending global order from the partition, so every
-  // per-shard histogram matches what the sequential pass contributes
-  // for those sets, and the merged result is identical at every shard
-  // count and helper count.
+  // shard's depth counts match what the sequential pass contributes for
+  // those sets, and the summed result is identical at every shard count
+  // and helper count.
   ReuseDistanceAnalyzer Global;
-  std::vector<std::unique_ptr<PerSetStackPass>> Passes(Plan.size());
+  std::vector<PerSetStackPass> Passes;
+  Passes.reserve(Plan.size());
+  for (const SetRange &Window : Plan)
+    Passes.emplace_back(Opts.Reference, Opts.MaxWays, Window);
   Ctx.Pool->parallelFor(Plan.size() + 1, Grant.helpers(), [&](size_t Task) {
     if (Task == 0) {
       for (const MemoryRecord &R : Records)
         Global.access(Opts.Reference.lineAddrOf(R.Addr));
       return;
     }
-    const size_t S = Task - 1;
-    auto Pass =
-        std::make_unique<PerSetStackPass>(Opts.Reference, Opts.MaxWays, Plan[S]);
-    for (const ShardRef &Ref : Parts->shard(S))
-      Pass->addRef(Ref.Addr);
-    Passes[S] = std::move(Pass);
+    for (const ShardRef &Ref : Parts->shard(Task - 1))
+      Passes[Task - 1].addRef(Ref.Addr);
   });
-
-  MissRatioCurve Curve;
-  Curve.TotalRefs = Records.size();
-  Curve.Reference = Opts.Reference;
-  Curve.MaxWays = Opts.MaxWays;
-  Curve.Sampled = false;
-  Curve.ColdWeight = Global.coldCount();
-  Curve.StackDistances = Global.distances();
-  Curve.HasPerSet = true;
-  for (const std::unique_ptr<PerSetStackPass> &Pass : Passes) {
-    Curve.PerSetDistances.merge(Pass->distances());
-    Curve.PerSetCold += Pass->coldCount();
-  }
-  return Curve;
+  return exactCurve(Records.size(), Opts, Global, Passes);
 }

@@ -13,9 +13,10 @@
 ///
 ///  * Exact fully-associative curve — Mattson's stack algorithm: a
 ///    reference with reuse distance D hits every LRU cache of more
-///    than D lines (ReuseDistanceAnalyzer does the O(log n) distance
-///    bookkeeping), so the global stack-distance histogram plus the
-///    cold-miss count *is* the curve, cold misses included.
+///    than D lines (ReuseDistanceAnalyzer does the distance
+///    bookkeeping: a timestamp bitmap with a word-count Fenwick tree),
+///    so the global stack-distance histogram plus the cold-miss count
+///    *is* the curve, cold misses included.
 ///
 ///  * Exact per-set curve at the reference geometry — the same theorem
 ///    applied per cache set: a reference hits an A-way set-associative
@@ -25,15 +26,15 @@
 ///    record that distance, making the curve exact at any
 ///    associativity <= MaxWays for the reference set count. Sets are
 ///    independent, so this pass shards over ShardedSim's set
-///    partition and the per-shard histograms merge deterministically.
+///    partition and the per-shard depth counts sum deterministically.
 ///
 ///  * SHARDS spatial sampling (Waldspurger et al., FAST'15) — a
 ///    hash-threshold filter tracks only lines with hash(line) < T
 ///    (rate R = T / 2^64), scales each sampled distance and its weight
 ///    by 1/R, and adapts: when the tracked-line reservoir exceeds its
 ///    fixed size, the largest-hash line is evicted and T drops to its
-///    hash, bounding the Fenwick/LastAccess footprint to O(reservoir)
-///    on arbitrarily long traces.
+///    hash, bounding the analyzer's footprint to O(reservoir) on
+///    arbitrarily long traces.
 ///
 ///  * Associativity correction away from exactly-representable points —
 ///    the Hill–Smith binomial model: a reuse of global stack distance D
@@ -55,7 +56,6 @@
 
 #include <cstdint>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -114,8 +114,8 @@ struct MissRatioCurve {
   /// Per-set stack distances at the reference set count, keys capped
   /// at MaxWays (distances >= MaxWays land on the MaxWays bucket).
   Histogram PerSetDistances;
-  /// Cold misses as seen by the per-set pass (== ColdWeight in exact
-  /// mode; the split exists because the passes shard independently).
+  /// Cold misses of the per-set curve: every line lives in one set, so
+  /// this is the global cold count (== ColdWeight in exact mode).
   uint64_t PerSetCold = 0;
   /// True iff the exact per-set histogram was built.
   bool HasPerSet = false;
@@ -160,10 +160,17 @@ struct MissRatioCurve {
 };
 
 /// The per-set half of the exact pass: depth-capped MRU stacks, one
-/// per set in \p Window, plus first-touch detection. Public because
+/// per set in \p Window, in one flat set-major array. Public because
 /// the sharded pass runs one instance per set shard and merges the
-/// histograms (sets are independent, so the merge is exact and
+/// counts (sets are independent, so the merge is exact and
 /// deterministic at every shard shape).
+///
+/// The pass keeps no first-touch state: every line maps to exactly one
+/// set, so a line's first per-set touch is its first global touch and
+/// the per-set cold count equals the global one. A reference whose line
+/// is off its set's stack is therefore either cold or fell off the
+/// capped bottom (true per-set distance >= MaxWays), and the curve
+/// assembly splits the off-stack total accordingly.
 class PerSetStackPass {
 public:
   PerSetStackPass(const CacheGeometry &Reference, uint32_t MaxWays,
@@ -172,19 +179,22 @@ public:
   /// Feeds one reference; its set must fall inside the window.
   void addRef(uint64_t Addr);
 
-  const Histogram &distances() const { return Distances; }
-  uint64_t coldCount() const { return Cold; }
+  /// depthCounts()[d] = references found at depth d < MaxWays.
+  const std::vector<uint64_t> &depthCounts() const { return DepthCounts; }
+  /// References whose line was not on its set's stack.
+  uint64_t offStackCount() const { return OffStack; }
 
 private:
   CacheGeometry Reference;
   uint32_t MaxWays;
   SetRange Window;
-  /// MRU-first line stacks, depth-capped at MaxWays; index = set -
-  /// Window.Begin.
-  std::vector<std::vector<uint64_t>> Stacks;
-  std::unordered_set<uint64_t> Seen;
-  Histogram Distances;
-  uint64_t Cold = 0;
+  /// MRU-first line stacks: set (Set - Window.Begin) owns the MaxWays
+  /// slots starting at (Set - Window.Begin) * MaxWays, of which the
+  /// first Fill[Set - Window.Begin] are in use.
+  std::vector<uint64_t> Stacks;
+  std::vector<uint32_t> Fill;
+  std::vector<uint64_t> DepthCounts;
+  uint64_t OffStack = 0;
 };
 
 /// Streaming single-pass MRC builder. Feed references (addRef /

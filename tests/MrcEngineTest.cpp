@@ -10,7 +10,10 @@
 //  * the exact fully-associative curve must equal a FullyAssociativeLru
 //    replay at every capacity (Mattson's theorem, cold-inclusive);
 //  * the exact per-set curve must equal a set-associative Cache replay
-//    at every associativity sharing the reference set count;
+//    at every associativity sharing the reference set count, also when
+//    lines fall off the capped per-set stacks;
+//  * the exact and SHARDS curves of all fourteen case-study traces must
+//    match checked-in digests, bucket for bucket;
 //  * SHARDS-sampled curves must land within the documented 0.05 bound
 //    of the exact curve on all six case-study workloads;
 //  * the computed curve must be identical at every execution shape
@@ -31,6 +34,7 @@
 
 #include "gtest/gtest.h"
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -54,12 +58,38 @@ Trace makeTrace(size_t NumRefs, uint64_t Seed = 0x5eed) {
   return T;
 }
 
-Trace workloadTrace(const std::string &Name) {
+Trace workloadTrace(const std::string &Name,
+                    WorkloadVariant Variant = WorkloadVariant::Original) {
   std::unique_ptr<Workload> W = makeWorkloadByName(Name);
   EXPECT_NE(W, nullptr) << Name;
   Trace Recorded;
-  W->run(WorkloadVariant::Original, &Recorded);
+  W->run(Variant, &Recorded);
   return canonicalizeTrace(Recorded);
+}
+
+/// FNV-1a 64 over the eight little-endian bytes of \p Value.
+uint64_t fnvMix(uint64_t Hash, uint64_t Value) {
+  for (int Byte = 0; Byte < 8; ++Byte) {
+    Hash ^= (Value >> (8 * Byte)) & 0xff;
+    Hash *= 0x100000001b3ULL;
+  }
+  return Hash;
+}
+
+/// Digest of everything a curve answers from: the totals, every bucket
+/// of both histograms, the per-set cold count and the final rate's bit
+/// pattern.
+uint64_t curveDigest(const MissRatioCurve &Curve) {
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  Hash = fnvMix(Hash, Curve.TotalRefs);
+  Hash = fnvMix(Hash, Curve.ColdWeight);
+  for (const auto &[Key, Count] : Curve.StackDistances.buckets())
+    Hash = fnvMix(fnvMix(Hash, Key), Count);
+  Hash = fnvMix(Hash, ~0ULL);
+  for (const auto &[Key, Count] : Curve.PerSetDistances.buckets())
+    Hash = fnvMix(fnvMix(Hash, Key), Count);
+  Hash = fnvMix(Hash, Curve.PerSetCold);
+  return fnvMix(Hash, std::bit_cast<uint64_t>(Curve.FinalRate));
 }
 
 double simulatedMissRatio(const Trace &T, const CacheGeometry &Geometry) {
@@ -128,6 +158,65 @@ TEST(MrcEngineTest, PerSetCurveMatchesSetAssociativeReplay) {
   const CacheGeometry OtherSets(16 * 1024, 64, 8);
   ASSERT_NE(OtherSets.numSets(), Opts.Reference.numSets());
   EXPECT_FALSE(Curve.isExactAt(OtherSets));
+}
+
+TEST(MrcEngineTest, LinesFallingOffTheCappedStackStayExact) {
+  // Sets 0..3 each cycle through 80 conflicting lines — more than the
+  // 64-deep stack holds — so reuses fall off the bottom and come back
+  // with a true per-set distance >= MaxWays: the sentinel bucket, the
+  // one place the pass relies on cold == global cold. A random hot
+  // tail keeps the other sets busy. Streaming, sequential compute,
+  // every shard shape and a Cache replay at every associativity must
+  // all tell the same story.
+  MrcOptions Opts; // 64 sets of 64-byte lines
+  const uint64_t Sets = Opts.Reference.numSets();
+  Trace T;
+  Xoshiro256 Rng(0xd33b);
+  for (size_t I = 0; I < 60'000; ++I) {
+    const uint64_t Line =
+        Rng.nextBounded(2) == 0
+            ? Rng.nextBounded(4) + Sets * Rng.nextBounded(80) // deep sets
+            : 4 + Rng.nextBounded(512);
+    T.recordLoad(1, 0x40000 + Line * 64, 8);
+  }
+
+  MrcEngine Streaming(Opts);
+  Streaming.addTrace(T);
+  const MissRatioCurve Reference = Streaming.take();
+  ASSERT_GT(Reference.PerSetDistances.count(Opts.MaxWays), 0u)
+      << "the trace must push lines off the capped stacks";
+  EXPECT_EQ(Reference.PerSetCold, Reference.ColdWeight);
+
+  auto ExpectSame = [&](const MissRatioCurve &Curve, const std::string &How) {
+    EXPECT_EQ(Curve.TotalRefs, Reference.TotalRefs) << How;
+    EXPECT_EQ(Curve.ColdWeight, Reference.ColdWeight) << How;
+    EXPECT_EQ(Curve.PerSetCold, Reference.PerSetCold) << How;
+    EXPECT_EQ(Curve.StackDistances.buckets(),
+              Reference.StackDistances.buckets())
+        << How;
+    EXPECT_EQ(Curve.PerSetDistances.buckets(),
+              Reference.PerSetDistances.buckets())
+        << How;
+  };
+  ExpectSame(MrcEngine::compute(T, Opts), "sequential compute");
+  ThreadPool Pool(3);
+  ThreadBudget Budget(4);
+  for (unsigned Shards : {1u, 2u, 3u, 7u}) {
+    SimContext Ctx;
+    Ctx.Pool = &Pool;
+    Ctx.Budget = &Budget;
+    Ctx.Shards = Shards;
+    Ctx.MinRefsToShard = 0;
+    ExpectSame(MrcEngine::compute(T, Opts, Ctx),
+               std::to_string(Shards) + " shard(s)");
+  }
+
+  for (uint32_t Ways = 1; Ways <= Opts.MaxWays; ++Ways) {
+    const CacheGeometry G(Sets * 64 * Ways, 64, Ways);
+    ASSERT_TRUE(Reference.isExactAt(G)) << "ways " << Ways;
+    EXPECT_NEAR(Reference.missRatioAt(G), simulatedMissRatio(T, G), 1e-12)
+        << "ways " << Ways;
+  }
 }
 
 TEST(MrcEngineTest, BinomialModelDegeneratesGracefully) {
@@ -367,6 +456,65 @@ TEST(MrcEngineTest, ShardsWithinBoundOnAllCaseStudyWorkloads) {
                   ExactCurve.modelMissRatioAt(G), 0.05)
           << Name << " @ " << SizeKb << "K";
     }
+  }
+}
+
+TEST(MrcEngineTest, CaseStudyCurvesMatchPinnedDigests) {
+  // Pins every bucket of the exact curve and of the SHARDS curves at
+  // one and four sample shards on all fourteen case-study traces, so a
+  // change to the distance bookkeeping that moves any curve anywhere
+  // fails here. The digests were recorded with the Fenwick-per-
+  // timestamp analyzer and hash-set per-set pass this engine replaced.
+  struct Pinned {
+    const char *Name;
+    WorkloadVariant Variant;
+    uint64_t Exact, Shards1, Shards4;
+  };
+  const Pinned Golden[] = {
+      {"NW", WorkloadVariant::Original, 0x76c4d3b7fe5de47eULL,
+       0x574e4539394583a8ULL, 0x0217fac46d2f3271ULL},
+      {"NW", WorkloadVariant::Optimized, 0xf6e5be632995a7e3ULL,
+       0x79c8b4d12a290262ULL, 0x39f3b26f41b06ecaULL},
+      {"MKL-FFT", WorkloadVariant::Original, 0xeb0005181a66e055ULL,
+       0x28d8ff52b2042e42ULL, 0xa96f47d1f9e4c99fULL},
+      {"MKL-FFT", WorkloadVariant::Optimized, 0x2b2e01b14eaae10eULL,
+       0xc5d9d723531e3013ULL, 0xca5aa21cffd66842ULL},
+      {"ADI", WorkloadVariant::Original, 0xad7f0a4e2e202666ULL,
+       0x2d89a7f9c5e83fedULL, 0x84c7090f4f4aeae1ULL},
+      {"ADI", WorkloadVariant::Optimized, 0x83050c9be6e72b57ULL,
+       0xc3c1a5e7d7e4b125ULL, 0x93414d00f356debbULL},
+      {"Tiny-DNN", WorkloadVariant::Original, 0x9f3a28be5a2948f9ULL,
+       0x69103dbf12809deaULL, 0x94708a5f8515b531ULL},
+      {"Tiny-DNN", WorkloadVariant::Optimized, 0xc23b6320ee05debbULL,
+       0xd0af6072c70afc3bULL, 0xb532036ac7b18161ULL},
+      {"Kripke", WorkloadVariant::Original, 0xf4aaa26a9933988eULL,
+       0xe6b57503e0054604ULL, 0xd0bf728bfdf48473ULL},
+      {"Kripke", WorkloadVariant::Optimized, 0x50f30806ce806152ULL,
+       0xe458bf7b9c3d7746ULL, 0x4871f573d5b38c07ULL},
+      {"HimenoBMT", WorkloadVariant::Original, 0x3eeda84e74593a64ULL,
+       0xe3666ea1dba3f679ULL, 0x19b237c2bfec1337ULL},
+      {"HimenoBMT", WorkloadVariant::Optimized, 0xec5a84b3c463a652ULL,
+       0xf41ec887aa3a4355ULL, 0x125d5dd8900d9c57ULL},
+      {"Symmetrization", WorkloadVariant::Original, 0x6b8d9da900b0c621ULL,
+       0x3aeb7b21ad37b23fULL, 0x5a2d899d7bc78da1ULL},
+      {"Symmetrization", WorkloadVariant::Optimized, 0x6729a42b49bef71cULL,
+       0x5e9dd2cb52b9def4ULL, 0xf3b060db4eef42a1ULL},
+  };
+  MrcOptions Shards1;
+  Shards1.Sampled = true;
+  Shards1.SampleRate = 0.25;
+  MrcOptions Shards4 = Shards1;
+  Shards4.SampleShards = 4;
+  for (const Pinned &P : Golden) {
+    const Trace T = workloadTrace(P.Name, P.Variant);
+    const std::string Label =
+        std::string(P.Name) + "-" + variantName(P.Variant);
+    EXPECT_EQ(curveDigest(MrcEngine::compute(T, MrcOptions{})), P.Exact)
+        << Label << " exact";
+    EXPECT_EQ(curveDigest(MrcEngine::compute(T, Shards1)), P.Shards1)
+        << Label << " SHARDS x1";
+    EXPECT_EQ(curveDigest(MrcEngine::compute(T, Shards4)), P.Shards4)
+        << Label << " SHARDS x4";
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -194,5 +195,68 @@ TEST(ReuseDistanceTest, PredictsFullyAssociativeLruHits) {
     bool Predicted = Distance != ReuseDistanceAnalyzer::Infinite &&
                      Distance < Capacity;
     EXPECT_EQ(Hit, Predicted) << "at access " << I;
+  }
+}
+
+TEST(ReuseDistanceTest, MatchesLruStackOracleAcrossGapClasses) {
+  // Seeded streams mixing reuse gaps inside one 64-timestamp word, across
+  // words, and beyond 4096 references, checked distance by distance
+  // against a naive MRU-first LRU stack. Growing phases add new lines
+  // (bitmap and line-table growth); evicting phases drop random lines
+  // while the clock runs on, so compaction renumbers a small live set
+  // and deletes exercise the table's backward shift. New lines include
+  // power-of-two strides and addresses near 2^64.
+  for (uint64_t Seed : {1u, 2u}) {
+    ReuseDistanceAnalyzer A;
+    Xoshiro256 Rng(Seed);
+    std::vector<uint64_t> Stack;   // the oracle, MRU first
+    std::vector<uint64_t> History; // every accessed line, in order
+    Histogram Expected;
+    uint64_t ExpectedCold = 0, NextLine = 0;
+    for (int I = 0; I < 40000; ++I) {
+      const bool Growing = (I / 8000) % 2 == 0;
+      const uint64_t Pick = Rng.nextBounded(100);
+      uint64_t Line;
+      if (History.empty() || Pick < (Growing ? 20u : 2u)) {
+        const uint64_t N = NextLine++;
+        Line = N % 3 == 0 ? N : N % 3 == 1 ? N * 4096 : ~0ULL - N;
+      } else {
+        uint64_t Gap;
+        if (Pick < 60)
+          Gap = 1 + Rng.nextBounded(63);
+        else if (Pick < 90)
+          Gap = 64 + Rng.nextBounded(4033);
+        else
+          Gap = 4097 + Rng.nextBounded(12000);
+        Line = History[History.size() -
+                       std::min<uint64_t>(Gap, History.size())];
+      }
+
+      uint64_t Want = ReuseDistanceAnalyzer::Infinite;
+      const auto It = std::find(Stack.begin(), Stack.end(), Line);
+      if (It != Stack.end()) {
+        Want = static_cast<uint64_t>(It - Stack.begin());
+        Stack.erase(It);
+        Expected.add(Want);
+      } else {
+        ++ExpectedCold;
+      }
+      Stack.insert(Stack.begin(), Line);
+      History.push_back(Line);
+      ASSERT_EQ(A.access(Line), Want) << "seed " << Seed << ", access " << I;
+
+      if (!Growing && Rng.nextBounded(16) == 0) {
+        const auto Victim = Stack.begin() + static_cast<std::ptrdiff_t>(
+                                                Rng.nextBounded(Stack.size()));
+        ASSERT_TRUE(A.evict(*Victim)) << "seed " << Seed << ", access " << I;
+        ASSERT_FALSE(A.evict(*Victim));
+        Stack.erase(Victim);
+      }
+      ASSERT_EQ(A.trackedLines(), Stack.size())
+          << "seed " << Seed << ", access " << I;
+    }
+    EXPECT_EQ(A.coldCount(), ExpectedCold);
+    EXPECT_EQ(A.totalRefs(), History.size());
+    EXPECT_EQ(A.distances().buckets(), Expected.buckets());
   }
 }

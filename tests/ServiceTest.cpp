@@ -10,7 +10,8 @@
 // safety, arrival-order-independent rolling aggregates, restart
 // recovery), the regression monitor's alert policy, the age-gated
 // stale-temp reaper, deterministic store listings, and the daemon end
-// to end over its drop directory and Unix-domain socket.
+// to end over its drop directory and Unix-domain socket, including
+// clients that hang up before reading or never end a header line.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -34,6 +36,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 using namespace ccprof;
@@ -99,6 +103,46 @@ std::string fileBytes(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   EXPECT_TRUE(In.good()) << Path;
   return bio::readAll(In);
+}
+
+/// A raw client connection to the daemon socket at \p Path, for
+/// protocol misbehaviour the well-mannered ServiceClient never shows;
+/// -1 on failure. Reads time out after 10 s so a daemon that never
+/// answers fails the test instead of hanging it.
+int connectRaw(const std::string &Path) {
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+  const int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return -1;
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof Addr) < 0) {
+    ::close(Fd);
+    return -1;
+  }
+  timeval Timeout{};
+  Timeout.tv_sec = 10;
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof Timeout);
+  return Fd;
+}
+
+/// Sends as much of \p Bytes as the peer takes, without SIGPIPE.
+void sendRaw(int Fd, std::string_view Bytes) {
+  while (!Bytes.empty()) {
+    const ssize_t N = ::send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL);
+    if (N <= 0)
+      return;
+    Bytes.remove_prefix(static_cast<size_t>(N));
+  }
+}
+
+/// Reads one '\n'-terminated reply line; empty on EOF or timeout.
+std::string readRawLine(int Fd) {
+  std::string Line;
+  char C = 0;
+  while (::read(Fd, &C, 1) == 1 && C != '\n')
+    Line.push_back(C);
+  return Line;
 }
 
 } // namespace
@@ -646,4 +690,66 @@ TEST(CcprofdTest, SocketRoundTripSubmitStatsAndPing) {
   Daemon.stop();
   EXPECT_FALSE(fs::exists(Socket)) << "socket file must be removed on stop";
   EXPECT_EQ(Daemon.store().stats().Objects, 1u);
+}
+
+TEST(CcprofdTest, ClientHangingUpBeforeReadingDoesNotKillTheDaemon) {
+  TempDir Root("daemon-hangup");
+  const std::string Socket =
+      "/tmp/ccprof-hangup-" + std::to_string(::getpid()) + ".sock";
+  ServiceConfig Config;
+  Config.StoreDir = (Root.Path / "store").string();
+  Config.SocketPath = Socket;
+  Ccprofd Daemon(Config);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(&Error)) << Error;
+
+  // Park the listener on an idle connection (the PONG proves it is
+  // being served), so the next client's PINGs and its hang-up are both
+  // queued before the daemon reads a byte of them: every PONG it then
+  // writes goes to a closed peer.
+  const int Idle = connectRaw(Socket);
+  ASSERT_GE(Idle, 0);
+  sendRaw(Idle, "PING\n");
+  ASSERT_EQ(readRawLine(Idle), "PONG");
+
+  const int Rude = connectRaw(Socket);
+  ASSERT_GE(Rude, 0);
+  std::string Pings;
+  for (int I = 0; I < 1000; ++I)
+    Pings += "PING\n";
+  sendRaw(Rude, Pings);
+  ::close(Rude);
+  ::close(Idle);
+
+  // A daemon killed by SIGPIPE takes this test process with it; a live
+  // one serves the next connection.
+  const ServiceReply Pong = servicePing(Socket);
+  EXPECT_TRUE(Pong.Ok) << Pong.Error;
+  EXPECT_EQ(Pong.Line, "PONG");
+  Daemon.stop();
+}
+
+TEST(CcprofdTest, UnterminatedHeaderLineIsCappedAndRefused) {
+  TempDir Root("daemon-longline");
+  const std::string Socket =
+      "/tmp/ccprof-longline-" + std::to_string(::getpid()) + ".sock";
+  ServiceConfig Config;
+  Config.StoreDir = (Root.Path / "store").string();
+  Config.SocketPath = Socket;
+  Ccprofd Daemon(Config);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(&Error)) << Error;
+
+  // 1 MiB without a '\n': the daemon must give up on the line at its
+  // 4 KiB cap, say why, and hang up, not buffer the flood.
+  const int Flood = connectRaw(Socket);
+  ASSERT_GE(Flood, 0);
+  sendRaw(Flood, std::string(1u << 20, 'A'));
+  EXPECT_EQ(readRawLine(Flood), "ERR line too long");
+  ::close(Flood);
+
+  const ServiceReply Pong = servicePing(Socket);
+  EXPECT_TRUE(Pong.Ok) << Pong.Error;
+  EXPECT_EQ(Pong.Line, "PONG");
+  Daemon.stop();
 }
